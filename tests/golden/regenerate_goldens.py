@@ -47,6 +47,12 @@ FAULT_SEED = 1
 BUDGET_MESH_LABELS = ("8x8", "8x8t")
 BUDGET_ENFORCE_BITS = 16
 
+#: degradation-ladder cells: a cap tight enough to reach both rungs
+#: (recycled and dimension-order) on every lane that routes it — the
+#: engine (8x8), the per-packet loop (8x8t) and the fault-aware wrapper
+#: (both meshes, with BFS detours)
+LADDER_BUDGET_BITS = 10
+
 #: one fixed general graph (see repro.mesh.graph.NAMED_GRAPHS): both
 #: topology-generic competitor routers, pinned at the same three seeds
 GRAPH_LABEL = "random-regular-24"
@@ -61,6 +67,26 @@ def _workload(mesh):
     if len(set(mesh.sides)) == 1:
         return transpose(mesh)
     return build_workload("bit-complement", mesh, 0)
+
+
+def ladder_router_name(faulty: bool) -> str:
+    """Golden key prefix of a degradation-ladder cell."""
+    faults = "+static-faults" if faulty else ""
+    return f"hierarchical{faults}+budget-enforce{LADDER_BUDGET_BITS}"
+
+
+def ladder_router(mesh, faulty: bool):
+    """The router of a degradation-ladder cell: bare or behind the faults."""
+    from repro.faults.model import FaultModel
+    from repro.faults.router import FaultAwareRouter
+    from repro.routing.registry import make_router
+
+    router = make_router("hierarchical")
+    if not faulty:
+        return router
+    return FaultAwareRouter(
+        router, FaultModel.static(mesh, p=FAULT_P, seed=FAULT_SEED)
+    )
 
 
 def golden_cases():
@@ -132,6 +158,21 @@ def golden_cases():
                     f"|{label}|seed={seed}",
                     route_budget,
                 )
+        if label in BUDGET_MESH_LABELS:
+            for faulty in (False, True):
+                for seed in SEEDS:
+
+                    def route_ladder(
+                        mesh=mesh, problem=problem, seed=seed, faulty=faulty
+                    ):
+                        return ladder_router(mesh, faulty).route(
+                            problem, seed=seed, budget=LADDER_BUDGET_BITS
+                        )
+
+                    yield (
+                        f"{ladder_router_name(faulty)}|{label}|seed={seed}",
+                        route_ladder,
+                    )
 
     # general-graph cells: a fixed random permutation on the named graph
     from repro.mesh.graph import named_graph
