@@ -2,19 +2,14 @@
 
 Not a paper figure: this is the engineering experiment behind the
 production north star ("route heavy traffic as fast as the hardware
-allows").  It measures the three ``route()`` execution modes on the same
-problem and seed —
+allows").  It times the vectorised engine (sequence tables + array
+assembly) with a cold and a warm shared-decomposition cache, and reports
+the per-stage profile of a route (sequence / draw / assemble).  The
+qualitative claims asserted here:
 
-* ``batch``  — vectorised engine (sequence tables + array assembly);
-* ``loop``   — engine plan, scalar assembly (the byte-identical reference);
-* ``legacy`` — the original per-packet spawned-stream loop;
-
-— reports the per-stage profile of the batch path (sequence / draw /
-assemble), and quantifies the shared-decomposition cache by routing with
-the cache disabled.  The qualitative claims asserted here:
-
-* batch and loop produce byte-identical paths (the engine's contract);
-* batch is at least several times faster than legacy at default sizes;
+* the engine's paths are byte-identical to the scalar oracle's
+  packet-by-packet replay of the same plan
+  (:func:`repro.verify.oracles.oracle_route`; the engine's contract);
 * a warm cache makes the sequence stage cheaper than a cold one.
 
 ``run_metrics_experiment`` times the *metrics* stage: the columnar
@@ -47,6 +42,7 @@ from repro.mesh.paths import remove_cycles
 from repro.metrics.congestion import edge_loads, node_loads
 from repro.metrics.stretch import stretches
 from repro.obs import Profiler
+from repro.verify.oracles import oracle_route
 from repro.workloads.generators import random_pairs
 from repro.workloads.permutations import transpose
 
@@ -69,14 +65,10 @@ def run_experiment(m: int = 32, seed: int = 0) -> list[dict]:
     cache.invalidate()
     cold = _time(lambda: router.route(problem, seed=seed), repeats=1)
     warm = _time(lambda: router.route(problem, seed=seed))
-    loop = _time(lambda: router.route(problem, seed=seed, batch="loop"))
-    legacy = _time(lambda: router.route(problem, seed=seed, batch=False))
 
     rows = [
         {"mode": "batch (cold cache)", "wall_s": round(cold, 4), "vs_batch": round(cold / warm, 1)},
         {"mode": "batch (warm cache)", "wall_s": round(warm, 4), "vs_batch": 1.0},
-        {"mode": "loop reference", "wall_s": round(loop, 4), "vs_batch": round(loop / warm, 1)},
-        {"mode": "legacy per-packet", "wall_s": round(legacy, 4), "vs_batch": round(legacy / warm, 1)},
     ]
     profiler.reset()
     router.route(problem, seed=seed)
@@ -88,11 +80,16 @@ def run_experiment(m: int = 32, seed: int = 0) -> list[dict]:
                 "vs_batch": round(r["share"], 2),
             }
         )
-    # byte-identity of the two engine assemblies, asserted on every run
-    pa = router.route(problem, seed=seed).paths
-    pl = router.route(problem, seed=seed, batch="loop").paths
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(pa, pl))
+    _assert_matches_oracle(router, problem, seed)
     return rows
+
+
+def _assert_matches_oracle(router, problem, seed: int) -> None:
+    """The engine's bytes equal the scalar oracle's replay of its plan."""
+    result = router.route(problem, seed=seed)
+    reference, _ = oracle_route(router, problem, result.seed)
+    assert len(result.paths) == len(reference)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(result.paths, reference))
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +293,9 @@ def run_kernels_experiment(
     return rows
 
 
-def test_t9_batch_loop_identical():
+def test_t9_engine_matches_oracle():
     mesh = Mesh((16, 16))
-    problem = transpose(mesh)
-    router = HierarchicalRouter()
-    pa = router.route(problem, seed=3).paths
-    pl = router.route(problem, seed=3, batch="loop").paths
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(pa, pl))
-
-
-def test_t9_batch_beats_legacy():
-    mesh = Mesh((32, 32))
-    problem = transpose(mesh)
-    router = HierarchicalRouter()
-    router.route(problem, seed=0)  # warm the cache
-    batch = _time(lambda: router.route(problem, seed=0))
-    legacy = _time(lambda: router.route(problem, seed=0, batch=False), repeats=1)
-    assert legacy / batch > 3.0, f"batch speedup only {legacy / batch:.1f}x"
+    _assert_matches_oracle(HierarchicalRouter(), transpose(mesh), 3)
 
 
 def test_t9_metrics_columnar_speedup():

@@ -41,6 +41,12 @@ deterministically, never rejected:
    fits, the packet routes with a recycled-bit clone of its router.
 2. **dimension-order** — zero random bits.  Always fits.
 
+:func:`budget_ladder` is the one implementation of the ladder: every
+route lane — the batched engine, the per-packet loop, the fault-aware
+wrapper and each shard worker — prices its packets through the router's
+:meth:`~repro.routing.base.Router.planned_bits` and takes its decisions
+from it.
+
 With no explicit ``bits``, the enforced ceiling is
 :func:`default_budget_bits` — the naive Lemma 5.4 structural maximum of
 the fresh scheme, so enforcement is *armed* but nothing degrades: routes
@@ -51,6 +57,7 @@ CI relies on this).
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +76,8 @@ __all__ = [
     "sequence_fresh_bits",
     "sequence_recycled_bits",
     "degradation_plan",
+    "BudgetLadder",
+    "budget_ladder",
     "note_budget",
 ]
 
@@ -416,3 +425,85 @@ def degradation_plan(
     else:
         use_rec = over & (np.asarray(recycled) <= limit)
     return ok, use_rec, over & ~use_rec
+
+
+@dataclass
+class BudgetLadder:
+    """One run's budget decisions: the ledger and each packet's rung.
+
+    ``ledger`` is ``None`` under mode ``off``.  ``cost`` is the planned
+    bits of one selection on each packet's rung (``None`` when the run is
+    unmetered); the ledger already charges every packet one selection.
+    """
+
+    ledger: BitBudget | None
+    cost: np.ndarray | None
+    use_rec: np.ndarray  #: (N,) degraded to the recycled scheme
+    use_dim: np.ndarray  #: (N,) degraded to dimension-order
+    fallback: object | None  #: the router's recycled-bit clone, if used
+
+    @property
+    def degraded(self) -> np.ndarray:
+        """(N,) packets routed off their router's own scheme."""
+        return self.use_rec | self.use_dim
+
+    def selector(self, i: int, select):
+        """``(select_path, deterministic)`` of packet ``i``'s rung.
+
+        ``select`` is the router's own selector, used within budget.
+        """
+        if self.use_dim[i]:
+            return _dimension_order_select, True
+        if self.use_rec[i]:
+            return self.fallback.select_path, False
+        return select, False
+
+
+def _dimension_order_select(mesh, s: int, t: int, rng) -> np.ndarray:
+    """The ladder's last rung: zero random bits, ``rng`` untouched."""
+    from repro.mesh.paths import dimension_order_path
+
+    return dimension_order_path(mesh, s, t, tuple(range(mesh.d)))
+
+
+def budget_ladder(router, problem, params: BudgetParams) -> BudgetLadder:
+    """Meter ``problem`` under ``params`` and walk the degradation ladder.
+
+    Prices every packet through ``router.planned_bits`` — a function of
+    ``(mesh, s, t)`` alone, so every lane and shard reaches the same
+    verdict — and, under ``enforce``, degrades the packets over the
+    ceiling (recycled scheme first, then dimension-order).  Runs under
+    the router's ``route.budget`` profiler stage.
+    """
+    n = problem.num_packets
+    keep = np.zeros(n, dtype=bool)
+    if not params.active:
+        return BudgetLadder(None, None, keep, keep, None)
+    profiler = getattr(router, "profiler", None)
+    with profiler.stage("route.budget") if profiler else nullcontext():
+        ledger = params.make_ledger(problem.mesh, n)
+        plan = router.planned_bits(problem)
+        if plan is None:
+            ledger.unmetered = n
+            return BudgetLadder(ledger, None, keep, keep, None)
+        cost = np.asarray(plan, dtype=np.int64)
+        ledger.metered = n
+        use_rec = use_dim = keep
+        fallback = None
+        limit = params.limit_for(problem.mesh) if params.enforcing else None
+        if limit is not None and bool((cost > limit).any()):
+            fallback = router.budget_fallback_router()
+            recycled = (
+                router.planned_bits(problem, mode="recycled")
+                if fallback is not None
+                else None
+            )
+            ok, use_rec, use_dim = degradation_plan(cost, recycled, limit)
+            cost = np.where(
+                ok, cost, np.where(use_rec, recycled, 0) if recycled is not None else 0
+            ).astype(np.int64)
+            ledger.fallbacks_recycled = int(use_rec.sum())
+            ledger.fallbacks_dimorder = int(use_dim.sum())
+        ledger.bits_drawn = int(cost.sum())
+        ledger.max_bits = int(cost.max()) if n else 0
+    return BudgetLadder(ledger, cost, use_rec, use_dim, fallback)

@@ -369,12 +369,7 @@ class HierarchicalRouter(Router):
 
     # ------------------------------------------------------------------
     def route(
-        self,
-        problem: RoutingProblem,
-        seed: int | None = None,
-        *,
-        batch: bool | str = True,
-        **kwargs,
+        self, problem: RoutingProblem, seed: int | None = None, **kwargs
     ) -> RoutingResult:
         self.bits_log = []
-        return super().route(problem, seed, batch=batch, **kwargs)
+        return super().route(problem, seed, **kwargs)

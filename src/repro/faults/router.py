@@ -20,11 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.core.budget import BudgetParams, degradation_plan, note_budget
-from repro.core.randomness import packet_streams, resolve_entropy
+from repro.core.budget import BudgetParams, budget_ladder, note_budget
+from repro.core.randomness import packet_stream, resolve_entropy
 from repro.faults.model import FaultModel
 from repro.mesh.mesh import Mesh
-from repro.mesh.paths import dimension_order_path
 from repro.routing.base import Router, RoutingProblem, RoutingResult
 
 __all__ = ["FaultAwareRouter", "FaultRoutingError", "shortest_alive_path"]
@@ -180,7 +179,6 @@ class FaultAwareRouter(Router):
         problem: RoutingProblem,
         seed: int | None = None,
         *,
-        batch: bool | str = True,
         workers: int | None = 1,
         packet_offset: int = 0,
         budget=None,
@@ -195,19 +193,20 @@ class FaultAwareRouter(Router):
         serial packet set.
 
         Budget semantics under faults: degradation decisions are made
-        *once* from the inner router's planned costs; every selection —
-        including resamples — re-pays the packet's planned per-selection
-        cost in ``bits_drawn``, while ``max_bits`` (what ``enforce``
-        bounds) tracks the per-selection maximum.  Dimension-order-degraded
-        packets are deterministic, so a blocked one goes straight to the
-        zero-bit BFS detour instead of resampling.
+        *once* by the shared ladder (:func:`~repro.core.budget.
+        budget_ladder`) from the inner router's planned costs; every
+        selection — including resamples — re-pays the packet's planned
+        per-selection cost in ``bits_drawn``, while ``max_bits`` (what
+        ``enforce`` bounds) tracks the per-selection maximum.
+        Dimension-order-degraded packets are deterministic, so a blocked
+        one goes straight to the zero-bit BFS detour instead of
+        resampling.
         """
         params = BudgetParams.resolve(budget)
         if self.faults.is_trivial:
             return super().route(
                 problem,
                 seed=seed,
-                batch=batch,
                 workers=workers,
                 packet_offset=packet_offset,
                 budget=params,
@@ -220,73 +219,31 @@ class FaultAwareRouter(Router):
                 problem,
                 seed,
                 workers=workers,
-                batch=batch,
                 packet_offset=packet_offset,
                 budget=params,
             )
         entropy = resolve_entropy(seed)
-        n = problem.num_packets
-        ledger = None
-        plan = rec = None
-        use_rec = use_dim = None
-        fallback = None
-        if params.active:
-            ledger = params.make_ledger(problem.mesh, n)
-            plan = self.inner.planned_bits(problem)
-            if plan is None:
-                ledger.unmetered = n
-            else:
-                plan = np.asarray(plan)
-                ledger.metered = n
-                if params.enforcing:
-                    limit = params.limit_for(problem.mesh)
-                    if bool((plan > limit).any()):
-                        fallback = self.inner.budget_fallback_router()
-                        rec = (
-                            self.inner.planned_bits(problem, mode="recycled")
-                            if fallback is not None
-                            else None
-                        )
-                        _, use_rec, use_dim = degradation_plan(plan, rec, limit)
-                        ledger.fallbacks_recycled = int(use_rec.sum())
-                        ledger.fallbacks_dimorder = int(use_dim.sum())
-        streams = packet_streams(
-            entropy, packet_offset, packet_offset + problem.num_packets
-        )
+        ladder = budget_ladder(self, problem, params)
         mesh = problem.mesh
-        order0 = tuple(range(mesh.d))
-
-        def dim_select(m, a, b, _rng):
-            return dimension_order_path(m, a, b, order0)
-
+        draws = np.zeros(problem.num_packets, dtype=np.int64)
         paths, kept = [], []
-        for i, ((s, t), stream) in enumerate(zip(problem.pairs(), streams)):
-            if use_dim is not None and use_dim[i]:
-                select, cost, det = dim_select, 0, True
-            elif use_rec is not None and use_rec[i]:
-                select, cost, det = fallback.select_path, int(rec[i]), False
-            else:
-                select = self.inner.select_path
-                cost = int(plan[i]) if plan is not None and ledger.metered else 0
-                det = False
+        for i, (s, t) in enumerate(problem.pairs()):
+            select, det = ladder.selector(i, self.inner.select_path)
+            stream = packet_stream(entropy, packet_offset + i)
             try:
-                path, draws = self._guarded(
+                path, draws[i] = self._guarded(
                     select, mesh, int(s), int(t), stream, deterministic=det
                 )
             except FaultRoutingError as err:
-                draws = getattr(err, "draws", 0)
-                if ledger is not None and ledger.metered:
-                    ledger.bits_drawn += cost * draws
-                    if cost and draws:
-                        ledger.max_bits = max(ledger.max_bits, cost)
+                draws[i] = getattr(err, "draws", 0)
                 continue
-            if ledger is not None and ledger.metered:
-                ledger.bits_drawn += cost * draws
-                if cost and draws:
-                    ledger.max_bits = max(ledger.max_bits, cost)
             paths.append(path)
             kept.append(i)
-        note_budget(self.profiler, ledger)
+        if ladder.cost is not None:
+            # the ladder charged one selection per packet; charge the draws
+            ladder.ledger.bits_drawn = int((ladder.cost * draws).sum())
+            ladder.ledger.max_bits = int(ladder.cost[draws > 0].max(initial=0))
+        note_budget(self.profiler, ladder.ledger)
         if len(kept) == problem.num_packets:
             result = RoutingResult(problem, paths, self.name, entropy)
         else:
@@ -295,7 +252,7 @@ class FaultAwareRouter(Router):
             result = RoutingResult(
                 sub, paths, self.name, entropy, kept_indices=kept_idx
             )
-        result.budget = ledger
+        result.budget = ladder.ledger
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -27,7 +27,6 @@ def route_sharded(
     seed: int | None = None,
     *,
     workers: int | None = None,
-    batch: bool | str = True,
     packet_offset: int = 0,
     executor=None,
     budget=None,
@@ -70,7 +69,6 @@ def route_sharded(
         return router.route(
             problem,
             entropy,
-            batch=batch,
             workers=1,
             packet_offset=packet_offset,
             budget=params,
@@ -108,7 +106,6 @@ def route_sharded(
                 problem=problem.subproblem(range(a, b), name=problem.name),
                 entropy=entropy,
                 offset=packet_offset + a,
-                batch=batch,
                 warm_keys=warm_keys,
                 profile=profiler is not None,
                 kernels_backend=kernels.backend(),

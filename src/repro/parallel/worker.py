@@ -90,7 +90,6 @@ class ShardTask:
     problem: RoutingProblem
     entropy: int  #: resolved in the parent — identical for every shard
     offset: int  #: global index of the shard's first packet
-    batch: bool | str
     warm_keys: tuple = ()
     profile: bool = False
     #: parent's kernel backend — workers pin theirs to match (results are
@@ -256,7 +255,6 @@ def route_shard(task: ShardTask) -> ShardResult:
     result = router.route(
         task.problem,
         task.entropy,
-        batch=task.batch,
         workers=1,
         packet_offset=task.offset,
         budget=task.budget,

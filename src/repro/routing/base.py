@@ -22,14 +22,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.budget import (
-    BitBudget,
-    BudgetParams,
-    degradation_plan,
-    note_budget,
-)
+from repro.core.budget import BitBudget, BudgetParams, budget_ladder, note_budget
 from repro.core.pathset import PathSet
-from repro.core.randomness import packet_streams, resolve_entropy
+from repro.core.randomness import packet_stream, resolve_entropy
 from repro.mesh.mesh import Mesh
 from repro.metrics.congestion import congestion as _congestion
 from repro.metrics.congestion import edge_loads as _edge_loads
@@ -226,7 +221,7 @@ class Router(ABC):
     The batched protocol draws fixed, mesh-determined shapes per packet, so
     packet ``i``'s path still depends only on ``(seed, i, s_i, t_i)`` —
     obliviousness is preserved, but the random *stream* differs from the
-    per-packet spawn protocol (pass ``batch=False`` for the legacy one).
+    per-packet spawn protocol of the loop.
     """
 
     #: human-readable identifier used in tables and the registry
@@ -283,17 +278,14 @@ class Router(ABC):
         problem: RoutingProblem,
         seed: int | None = None,
         *,
-        batch: bool | str = True,
         workers: int | None = 1,
         packet_offset: int = 0,
         budget=None,
     ) -> RoutingResult:
         """Route every packet of ``problem`` independently.
 
-        ``batch=True`` uses the vectorised engine when :meth:`batch_spec`
-        offers one; ``batch="loop"`` runs the engine's scalar reference
-        assembly (byte-identical paths, for testing); ``batch=False``
-        forces the legacy per-packet stream loop.
+        Uses the vectorised engine when :meth:`batch_spec` offers a spec,
+        the per-packet :meth:`select_path` loop otherwise.
 
         ``workers`` selects sharded execution (:mod:`repro.parallel`):
         ``1`` routes in-process, ``N > 1`` splits the problem over ``N``
@@ -310,10 +302,10 @@ class Router(ABC):
         :class:`~repro.core.budget.BudgetParams` configures it directly.
         Metered runs attach a :class:`~repro.core.budget.BitBudget` ledger
         to the result; ``enforce`` degrades over-budget packets down the
-        deterministic recycled/dimension-order ladder.
+        deterministic recycled/dimension-order ladder
+        (:func:`~repro.core.budget.budget_ladder`) while the within-budget
+        packets keep their exact bytes.
         """
-        if not isinstance(batch, bool) and batch != "loop":
-            raise ValueError(f"unknown batch mode {batch!r}; use True, False or 'loop'")
         params = BudgetParams.resolve(budget)
         if workers is not None and workers != 1:
             from repro.parallel import route_sharded
@@ -323,98 +315,61 @@ class Router(ABC):
                 problem,
                 seed,
                 workers=workers,
-                batch=batch,
                 packet_offset=packet_offset,
                 budget=params,
             )
         entropy = resolve_entropy(seed)
-        profiler = self.profiler
-        if batch:
-            with profiler.stage("engine.sequence") if profiler else _nullcontext():
-                spec = self.batch_spec(problem)
-            if spec is not None:
-                from repro.routing.engine import run_batch
-
-                spec.packet_offset = packet_offset
-                mode = "loop" if batch == "loop" else "array"
-                return run_batch(
-                    self, spec, problem, entropy, assemble=mode, budget=params
+        ladder = budget_ladder(self, problem, params)
+        note_budget(self.profiler, ladder.ledger)
+        indices = packet_offset + np.arange(problem.num_packets, dtype=np.int64)
+        degraded = ladder.degraded
+        if not degraded.any():
+            paths = self._select(problem, entropy, indices)
+        else:
+            # Within-budget rows keep their executor and their global
+            # streams; degraded rows route on their rung, one by one.
+            paths = [None] * problem.num_packets
+            rows = np.flatnonzero(~degraded)
+            kept = self._select(problem.subproblem(rows), entropy, indices[rows])
+            for row, path in zip(rows.tolist(), kept):
+                paths[row] = path
+            for row in np.flatnonzero(degraded).tolist():
+                select, _ = ladder.selector(row, self.select_path)
+                paths[row] = select(
+                    problem.mesh,
+                    int(problem.sources[row]),
+                    int(problem.dests[row]),
+                    packet_stream(entropy, int(indices[row])),
                 )
+        result = RoutingResult(problem, paths, self.name, entropy)
+        result.budget = ladder.ledger
+        return result
 
-        # Per-packet scalar branch, with the same metering/enforcement the
-        # engine applies array-wise.
-        ledger = None
-        decisions = None
-        fallback = None
-        if params.active:
-            n = problem.num_packets
-            ledger = params.make_ledger(problem.mesh, n)
-            plan = self.planned_bits(problem)
-            if plan is None:
-                ledger.unmetered = n
-            else:
-                plan = np.asarray(plan)
-                ledger.metered = n
-                paid = plan
-                if params.enforcing:
-                    limit = params.limit_for(problem.mesh)
-                    ledger.limit = limit
-                    if bool((plan > limit).any()):
-                        fallback = self.budget_fallback_router()
-                        recycled = (
-                            self.planned_bits(problem, mode="recycled")
-                            if fallback is not None
-                            else None
-                        )
-                        decisions = degradation_plan(plan, recycled, limit)
-                        ok, use_rec, use_dim = decisions
-                        paid = np.where(
-                            ok,
-                            plan,
-                            np.where(use_rec, recycled, 0)
-                            if recycled is not None
-                            else 0,
-                        )
-                        ledger.fallbacks_recycled = int(use_rec.sum())
-                        ledger.fallbacks_dimorder = int(use_dim.sum())
-                ledger.bits_drawn = int(np.sum(paid))
-                ledger.max_bits = int(np.max(paid)) if n else 0
-            note_budget(profiler, ledger)
-        streams = packet_streams(
-            entropy, packet_offset, packet_offset + problem.num_packets
-        )
+    def _select(
+        self, problem: RoutingProblem, entropy: int, indices: np.ndarray
+    ):
+        """Paths of ``problem`` on the streams of global ``indices``.
+
+        The batched engine when :meth:`batch_spec` offers a spec, else the
+        per-packet :meth:`select_path` loop.
+        """
+        profiler = self.profiler
+        with profiler.stage("engine.sequence") if profiler else _nullcontext():
+            spec = self.batch_spec(problem)
+        if spec is not None:
+            from repro.routing.engine import run_batch
+
+            spec.packet_indices = indices
+            return run_batch(self, spec, problem, entropy).paths
+        streams = [packet_stream(entropy, int(i)) for i in indices]
         with profiler.stage("route.select_loop") if profiler else _nullcontext():
-            if decisions is None:
-                paths = [
-                    self.select_path(problem.mesh, int(s), int(t), stream)
-                    for (s, t), stream in zip(problem.pairs(), streams)
-                ]
-            else:
-                from repro.mesh.paths import dimension_order_path
-
-                ok, use_rec, use_dim = decisions
-                order0 = tuple(range(problem.mesh.d))
-                paths = []
-                for i, ((s, t), stream) in enumerate(
-                    zip(problem.pairs(), streams)
-                ):
-                    if use_rec[i]:
-                        paths.append(
-                            fallback.select_path(problem.mesh, int(s), int(t), stream)
-                        )
-                    elif use_dim[i]:
-                        paths.append(
-                            dimension_order_path(problem.mesh, int(s), int(t), order0)
-                        )
-                    else:
-                        paths.append(
-                            self.select_path(problem.mesh, int(s), int(t), stream)
-                        )
+            paths = [
+                self.select_path(problem.mesh, int(s), int(t), stream)
+                for (s, t), stream in zip(problem.pairs(), streams)
+            ]
         if profiler is not None:
             profiler.count("route.packets", problem.num_packets)
-        result = RoutingResult(problem, paths, self.name, entropy)
-        result.budget = ledger
-        return result
+        return paths
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -12,7 +12,7 @@ returns a :class:`BatchSpec` from :meth:`Router.batch_spec` and the engine
 does the rest with a handful of numpy passes over *all* packets at once:
 
 1. **draw** — vectorised per-packet streams: packet ``i`` (its *global*
-   index, ``spec.packet_offset`` plus its row) takes its uniforms from
+   index, ``spec.packet_indices[row]``) takes its uniforms from
    ``SeedSequence(entropy, spawn_key=(i,))`` via
    :func:`repro.core.randomness.packet_uniforms` — waypoint uniforms
    first, dimension-order uniforms after, in one fixed mesh-determined
@@ -29,9 +29,9 @@ does the rest with a handful of numpy passes over *all* packets at once:
    ``segment * n + node`` keys); only the few offending paths go through
    :func:`~repro.mesh.paths.remove_cycles`.
 
-``assemble="loop"`` builds the same waypoints/orders but connects them
-with the scalar :func:`~repro.mesh.paths.dimension_order_path` — the
-byte-identical reference that ``tests/test_engine.py`` compares against.
+:func:`repro.verify.oracles.oracle_route` replays the same protocol one
+packet at a time in scalar code — the byte-identical reference that
+``tests/test_engine.py`` compares against.
 
 Torus meshes are *not* supported (wrap-around steps break the
 constant-stride expansion); ``batch_spec`` implementations return ``None``
@@ -46,17 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-from repro.core.budget import (
-    BitBudget,
-    degradation_plan,
-    note_budget,
-    planned_fresh_bits,
-    planned_recycled_bits,
-)
 from repro.core.pathset import PathSet
-from repro.core.randomness import packet_stream, packet_uniforms, resolve_entropy
+from repro.core.randomness import packet_uniforms, resolve_entropy
 from repro.mesh.mesh import Mesh
-from repro.mesh.paths import concatenate_paths, dimension_order_path, remove_cycles
 from repro.routing.base import RoutingProblem, RoutingResult
 
 __all__ = ["BatchSpec", "run_batch", "draw_plan", "build_waypoints", "resolve_orders"]
@@ -81,15 +73,13 @@ class BatchSpec:
     dim_order: str  #: "random" (per subpath), "shared" (per packet), "fixed"
     fixed_order: tuple[int, ...] | None = None  #: ordering for "fixed"
     drop_cycles: bool = False
-    #: global index of row 0 — shard workers set this so their packets draw
-    #: the same streams the serial engine would have used
-    packet_offset: int = 0
     #: (N,) real (unpadded) inner-box count per packet, when the router
-    #: knows it — budget metering derives it from ``box_len`` otherwise
+    #: knows it — the scalar metering oracle derives it from ``box_len``
+    #: otherwise
     n_inner: np.ndarray | None = None
-    #: (N,) explicit global packet indices, overriding ``packet_offset +
-    #: arange(N)`` — set on sliced specs (budget enforcement routes the
-    #: within-budget rows through the engine with their original streams)
+    #: (N,) global packet index of each row (``None`` = ``arange(N)``) —
+    #: ``Router.route`` sets it, so shard workers and budget-degraded runs
+    #: draw each packet's streams exactly as the serial engine would
     packet_indices: np.ndarray | None = None
 
     def __post_init__(self):
@@ -126,7 +116,7 @@ def draw_plan(
     (:func:`~repro.core.randomness.packet_uniforms`), so the plan row of a
     packet is invariant under any re-batching of the problem.  The draw
     order (waypoints first, then orderings) is part of the canonical
-    protocol; the loop reference consumes the identical plan.
+    protocol; the scalar oracle replays the identical plan.
     """
     N, S, d = spec.box_lo.shape
     n_way = S * d
@@ -139,7 +129,7 @@ def draw_plan(
     if spec.packet_indices is not None:
         indices = np.asarray(spec.packet_indices, dtype=np.int64)
     else:
-        indices = spec.packet_offset + np.arange(N, dtype=np.int64)
+        indices = np.arange(N, dtype=np.int64)
     U = packet_uniforms(entropy, indices, n_way + n_ord)
     U_way = U[:, :n_way].reshape(N, S, d)
     if spec.dim_order == "random":
@@ -235,112 +225,19 @@ def _assemble_array(
     return pathset
 
 
-def _assemble_loop(spec: BatchSpec, W: np.ndarray, orders: np.ndarray) -> list[np.ndarray]:
-    """Scalar reference: same plan, assembled with the classic primitives.
-
-    Exists so the byte-identity of the array assembly is *testable* — both
-    consume identical waypoints and orderings, so their outputs must match
-    to the last byte.
-    """
-    mesh = spec.mesh
-    strides = mesh.strides
-    paths = []
-    for i in range(W.shape[0]):
-        pieces = []
-        for j in range(spec.num_subpaths):
-            a = int(W[i, j] @ strides)
-            b = int(W[i, j + 1] @ strides)
-            pieces.append(dimension_order_path(mesh, a, b, tuple(orders[i, j])))
-        path = concatenate_paths(pieces)
-        if spec.drop_cycles:
-            path = remove_cycles(path)
-        paths.append(path)
-    return paths
-
-
-def _sliced_spec(spec: BatchSpec, rows: np.ndarray, indices: np.ndarray) -> BatchSpec:
-    """``spec`` restricted to ``rows``, pinned to their global indices."""
-    return BatchSpec(
-        mesh=spec.mesh,
-        coords_s=spec.coords_s[rows],
-        coords_t=spec.coords_t[rows],
-        box_lo=spec.box_lo[rows],
-        box_len=spec.box_len[rows],
-        dim_order=spec.dim_order,
-        fixed_order=spec.fixed_order,
-        drop_cycles=spec.drop_cycles,
-        packet_offset=spec.packet_offset,
-        n_inner=None if spec.n_inner is None else np.asarray(spec.n_inner)[rows],
-        packet_indices=np.asarray(indices)[rows],
-    )
-
-
-def _run_degraded(
-    router,
-    spec: BatchSpec,
-    entropy: int,
-    indices: np.ndarray,
-    plan: tuple[np.ndarray, np.ndarray, np.ndarray],
-    fallback,
-    profiler,
-) -> list[np.ndarray]:
-    """Assemble a partially degraded batch (the ``enforce`` slow lane).
-
-    Within-budget rows still go through the vectorised engine — on a
-    sliced spec carrying their original global indices, so their bytes are
-    untouched.  Recycled rows route scalar-by-scalar on the packet's own
-    stream via the router's recycled-bit clone; dimension-order rows pay
-    zero random bits.
-    """
-    ok, use_rec, use_dim = plan
-    mesh = spec.mesh
-    strides = mesh.strides
-    flat_s = spec.coords_s @ strides
-    flat_t = spec.coords_t @ strides
-    paths: list = [None] * spec.num_packets
-    rows_ok = np.flatnonzero(ok)
-    if rows_ok.size:
-        sub = _sliced_spec(spec, rows_ok, indices)
-        U_way, U_ord = draw_plan(entropy, sub)
-        W = build_waypoints(sub, U_way)
-        orders = resolve_orders(sub, U_ord)
-        kept = _assemble_array(sub, W, orders, profiler)
-        for j, row in enumerate(rows_ok):
-            paths[row] = kept[j]
-    for row in np.flatnonzero(use_rec):
-        stream = packet_stream(entropy, int(indices[row]))
-        paths[row] = fallback.select_path(
-            mesh, int(flat_s[row]), int(flat_t[row]), stream
-        )
-    order0 = tuple(range(mesh.d))
-    for row in np.flatnonzero(use_dim):
-        paths[row] = dimension_order_path(
-            mesh, int(flat_s[row]), int(flat_t[row]), order0
-        )
-    return paths
-
-
 def run_batch(
     router,
     spec: BatchSpec,
     problem: RoutingProblem,
     seed: int | None = None,
-    *,
-    assemble: str = "array",
-    budget=None,
 ) -> RoutingResult:
     """Route ``problem`` under ``spec``; the batched half of ``Router.route``.
 
     ``seed`` may be an int or ``None``; it is resolved to concrete entropy
     (:func:`~repro.core.randomness.resolve_entropy`) and the resolved value
     is stored on the result so every run — seeded or not — can be replayed.
-
-    ``budget`` is a resolved :class:`~repro.core.budget.BudgetParams` (or
-    ``None``).  When active, the engine meters every packet's planned bits
-    in one vectorised pass; under ``enforce``, packets over the ceiling
-    are degraded down the deterministic ladder (recycled scheme, then
-    dimension-order) while the remaining rows keep their exact engine
-    bytes.
+    Budget metering and degradation happen before, in ``Router.route``
+    (:func:`~repro.core.budget.budget_ladder`).
     """
     profiler = getattr(router, "profiler", None)
 
@@ -348,53 +245,6 @@ def run_batch(
         return profiler.stage(name) if profiler is not None else nullcontext()
 
     entropy = resolve_entropy(seed)
-    N = spec.num_packets
-    ledger = None
-    degraded = None
-    fallback = None
-    indices = None
-    if budget is not None and budget.active:
-        with stage("engine.budget"):
-            alive = (spec.coords_s != spec.coords_t).any(axis=1)
-            fresh = planned_fresh_bits(
-                spec.box_len, spec.dim_order, alive, n_inner=spec.n_inner
-            )
-            ledger = budget.make_ledger(spec.mesh, N)
-            ledger.metered = N
-            paid = fresh
-            if budget.enforcing:
-                limit = budget.limit_for(spec.mesh)
-                if bool((fresh > limit).any()):
-                    fallback = router.budget_fallback_router()
-                    recycled = (
-                        planned_recycled_bits(spec.box_len, alive)
-                        if fallback is not None
-                        else None
-                    )
-                    degraded = degradation_plan(fresh, recycled, limit)
-                    ok, use_rec, use_dim = degraded
-                    paid = np.where(
-                        ok, fresh, np.where(use_rec, recycled, 0) if recycled is not None else 0
-                    )
-                    ledger.fallbacks_recycled = int(use_rec.sum())
-                    ledger.fallbacks_dimorder = int(use_dim.sum())
-            ledger.bits_drawn = int(paid.sum())
-            ledger.max_bits = int(paid.max()) if N else 0
-            if spec.packet_indices is not None:
-                indices = np.asarray(spec.packet_indices, dtype=np.int64)
-            else:
-                indices = spec.packet_offset + np.arange(N, dtype=np.int64)
-        note_budget(profiler, ledger)
-
-    if degraded is not None:
-        with stage("engine.assemble"):
-            paths = _run_degraded(
-                router, spec, entropy, indices, degraded, fallback, profiler
-            )
-        result = RoutingResult(problem, paths, router.name, entropy)
-        result.budget = ledger
-        return result
-
     with stage("engine.draw"):
         U_way, U_ord = draw_plan(entropy, spec)
         W = build_waypoints(spec, U_way)
@@ -406,12 +256,5 @@ def run_batch(
             "engine.rng_values", U_way.size + (U_ord.size if U_ord is not None else 0)
         )
     with stage("engine.assemble"):
-        if assemble == "array":
-            paths = _assemble_array(spec, W, orders, profiler)
-        elif assemble == "loop":
-            paths = _assemble_loop(spec, W, orders)
-        else:
-            raise ValueError(f"unknown assemble mode {assemble!r}")
-    result = RoutingResult(problem, paths, router.name, entropy)
-    result.budget = ledger
-    return result
+        paths = _assemble_array(spec, W, orders, profiler)
+    return RoutingResult(problem, paths, router.name, entropy)

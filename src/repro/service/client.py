@@ -72,7 +72,6 @@ class ServiceClient:
         torus: bool = False,
         router: str = "hierarchical",
         seed: int | None = 0,
-        batch: bool | str = True,
         workload: str | None = None,
         workload_seed: int = 0,
     ) -> RoutingResult:
@@ -117,7 +116,6 @@ class ServiceClient:
                 "torus": mesh.torus,
                 "router": router,
                 "seed": seed,
-                "batch": batch,
             },
             {"sources": problem.sources, "dests": problem.dests},
         )

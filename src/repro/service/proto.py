@@ -28,6 +28,9 @@ __all__ = ["ProtocolError", "recv_msg", "send_msg"]
 #: asks us to allocate whatever garbage the first four bytes decode to
 MAX_HEADER_BYTES = 1 << 20
 
+#: largest receive buffer committed ahead of the bytes that fill it
+RECV_CHUNK = 1 << 20
+
 _LEN = struct.Struct(">I")
 
 
@@ -53,43 +56,75 @@ def send_msg(sock, header: dict, arrays: dict | None = None) -> None:
         sock.sendall(frame)
 
 
-def _recv_exact(sock, n: int) -> bytes | None:
-    """Exactly ``n`` bytes, or ``None`` on a clean EOF before any byte."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        k = sock.recv_into(view[got:])
-        if k == 0:
-            if got == 0:
+def _recv_exact(sock, n: int, *, first: bool = False) -> bytearray | None:
+    """Exactly ``n`` bytes; ``None`` on a clean EOF before the ``first``
+    read of a message.
+
+    The buffer grows only as bytes arrive (at most :data:`RECV_CHUNK`
+    ahead of them), so a peer that claims a huge frame and then stops
+    sending costs nothing before the "closed mid-message" error.
+    """
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = sock.recv(min(n - len(buf), RECV_CHUNK))
+        if not chunk:
+            if first and not buf:
                 return None
-            raise ProtocolError(f"connection closed mid-message ({got}/{n} bytes)")
-        got += k
-    return bytes(buf)
+            raise ProtocolError(
+                f"connection closed mid-message ({len(buf)}/{n} bytes)"
+            )
+        buf += chunk
+    return buf
+
+
+def _array_meta(header: dict) -> list[tuple[str, int]]:
+    """The header's ``[name, count]`` pairs, validated."""
+    meta = header.pop("arrays", [])
+    if not isinstance(meta, list):
+        raise ProtocolError(
+            f"'arrays' must be a list, got {type(meta).__name__}"
+        )
+    out = []
+    for entry in meta:
+        ok = isinstance(entry, list) and len(entry) == 2
+        name, count = entry if ok else (None, None)
+        if not (
+            isinstance(name, str)
+            and isinstance(count, int)
+            and not isinstance(count, bool)
+            and count >= 0
+        ):
+            raise ProtocolError(
+                f"bad array entry {entry!r}; want [name, count >= 0]"
+            )
+        out.append((name, count))
+    return out
 
 
 def recv_msg(sock) -> tuple[dict, dict] | None:
     """Receive one message; ``None`` when the peer closed cleanly.
 
     Returns ``(header, arrays)`` with each array a fresh int64 ndarray.
+    Anything that does not parse as a message — a header that is not a
+    JSON object, a malformed ``"arrays"`` list, a negative or non-integer
+    count, a stream that ends early — raises :class:`ProtocolError`.
     """
-    raw_len = _recv_exact(sock, _LEN.size)
+    raw_len = _recv_exact(sock, _LEN.size, first=True)
     if raw_len is None:
         return None
     (hlen,) = _LEN.unpack(raw_len)
     if hlen > MAX_HEADER_BYTES:
         raise ProtocolError(f"header length {hlen} exceeds protocol bound")
     payload = _recv_exact(sock, hlen)
-    if payload is None:
-        raise ProtocolError("connection closed before header")
     try:
         header = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"bad header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ProtocolError(
+            f"header must be a JSON object, got {type(header).__name__}"
+        )
     arrays: dict[str, np.ndarray] = {}
-    for name, count in header.pop("arrays", []):
-        blob = _recv_exact(sock, 8 * int(count))
-        if blob is None and count:
-            raise ProtocolError(f"connection closed before array {name!r}")
-        arrays[name] = np.frombuffer(blob or b"", dtype=np.int64).copy()
+    for name, count in _array_meta(header):
+        arrays[name] = np.frombuffer(_recv_exact(sock, 8 * count), dtype=np.int64)
     return header, arrays

@@ -11,7 +11,8 @@ per-request pool boot there either).
 
 Observability: the service profiler counts ``service.requests``,
 ``service.batches``, ``service.batched_requests``,
-``service.sharded_requests`` and ``service.worker_restarts``, observes
+``service.sharded_requests``, ``service.worker_restarts`` and
+``service.protocol_errors`` (malformed messages), observes
 ``service.queue_depth`` (at admission), ``service.batch_size`` and
 ``service.request_s`` (admission-to-reply latency), and brackets pool
 dispatches in the ``service.worker_batch`` / ``service.sharded`` stages.
@@ -49,7 +50,6 @@ class _RoutePayload:
     torus: bool
     router: str
     entropy: int
-    batch: bool | str
     sources: np.ndarray
     dests: np.ndarray
 
@@ -208,7 +208,17 @@ class RoutingService:
             while not self._stop.is_set():
                 try:
                     msg = recv_msg(conn)
-                except (ProtocolError, OSError):
+                except ProtocolError as exc:
+                    # the stream may be desynchronised: answer, then hang up
+                    self.profiler.count("service.protocol_errors", 1)
+                    try:
+                        send_msg(
+                            conn, {"ok": False, "error": f"protocol error: {exc}"}
+                        )
+                    except OSError:
+                        pass
+                    return
+                except OSError:
                     return
                 if msg is None:
                     return
@@ -266,7 +276,6 @@ class RoutingService:
             torus=bool(header.get("torus", False)),
             router=str(header.get("router", "hierarchical")),
             entropy=resolve_entropy(header.get("seed")),
-            batch=header.get("batch", True),
             sources=sources,
             dests=dests,
         )
@@ -321,7 +330,6 @@ class RoutingService:
                 problem,
                 payload.entropy,
                 workers=self.pool.workers,
-                batch=payload.batch,
                 executor=self.pool,
             )
         self.profiler.count("service.sharded_requests", 1)
@@ -360,7 +368,6 @@ class RoutingService:
                         torus=p.torus,
                         router=p.router,
                         entropy=p.entropy,
-                        batch=p.batch,
                         sources=sources,
                         dests=dests,
                         pairs=pairs,

@@ -33,7 +33,6 @@ class RouteRequest:
     torus: bool
     router: str
     entropy: int  #: resolved by the server — never ``None`` here
-    batch: bool | str = True
     #: exactly one of (``sources``/``dests``, ``pairs``) carries the pairs
     sources: np.ndarray | None = None
     dests: np.ndarray | None = None
@@ -70,7 +69,7 @@ def _route_one(req: RouteRequest) -> RouteReply:
     mesh = Mesh(tuple(req.sides), torus=req.torus)
     problem = RoutingProblem(mesh, sources, dests, name="service")
     router = make_router(req.router)
-    result = router.route(problem, req.entropy, batch=req.batch, workers=1)
+    result = router.route(problem, req.entropy, workers=1)
     shared = None
     nodes: np.ndarray | None = result.paths.nodes
     offsets: np.ndarray | None = result.paths.offsets

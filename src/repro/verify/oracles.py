@@ -452,15 +452,10 @@ def _dim_order_walk(
     return out
 
 
-def _batch_packet_index(spec, i: int) -> int:
-    """Global stream index of batch row ``i`` (honours explicit indices)."""
-    if getattr(spec, "packet_indices", None) is not None:
-        return int(spec.packet_indices[i])
-    return spec.packet_offset + i
 
 
-def _oracle_batch_path(spec, entropy: int, i: int) -> list[int]:
-    """Replay of the batch protocol for one packet (row ``i``)."""
+def _oracle_batch_path(spec, entropy: int, i: int, index: int) -> list[int]:
+    """Replay of the batch protocol for row ``i``, global packet ``index``."""
     mesh = spec.mesh
     _, S, d = spec.box_lo.shape
     L = S + 1
@@ -470,7 +465,7 @@ def _oracle_batch_path(spec, entropy: int, i: int) -> list[int]:
         n_ord = d
     else:
         n_ord = 0
-    u = oracle_uniforms(entropy, _batch_packet_index(spec, i), S * d + n_ord)
+    u = oracle_uniforms(entropy, index, S * d + n_ord)
     # inner waypoints: lo + floor(u * len), one uniform per (stage, dim)
     pts = [[int(c) for c in spec.coords_s[i]]]
     for j in range(S):
@@ -506,12 +501,6 @@ def _oracle_batch_path(spec, entropy: int, i: int) -> list[int]:
     if spec.drop_cycles:
         path = oracle_remove_cycles(path)
     return path
-
-
-def _oracle_batch_paths(spec, entropy: int) -> list[list[int]]:
-    """Per-packet replay of the batch protocol, one packet at a time."""
-    N = spec.box_lo.shape[0]
-    return [_oracle_batch_path(spec, entropy, i) for i in range(N)]
 
 
 def oracle_metered_bits(spec) -> list[int]:
@@ -791,7 +780,6 @@ def oracle_route(
     use_rec, use_dim, fallback = degraded or (None, None, None)
     spec = router.batch_spec(problem)
     if spec is not None:
-        spec.packet_offset = packet_offset
         raw = []
         for i in range(problem.num_packets):
             if use_dim is not None and use_dim[i]:
@@ -815,12 +803,12 @@ def oracle_route(
                 )
                 raw.append([int(x) for x in path])
             else:
-                raw.append(_oracle_batch_path(spec, entropy, i))
+                raw.append(_oracle_batch_path(spec, entropy, i, packet_offset + i))
         ps = PathSet.from_paths([np.asarray(p, dtype=np.int64) for p in raw])
         return ps, None
 
-    # Per-packet loop reference: same generators as Router.route's legacy
-    # branch, built from the public primitive.
+    # Per-packet loop reference: same generators as Router.route's
+    # per-packet loop, built from the public primitive.
     paths = []
     for i, (s, t) in enumerate(problem.pairs()):
         if use_dim is not None and use_dim[i]:

@@ -7,9 +7,10 @@ The claims under test:
   table;
 * :class:`CompactHierarchicalRouter` routes byte-identically to the
   global :class:`HierarchicalRouter` from that serialized state alone,
-  across schemes, variants, bit modes, torus wrap and both engine modes
-  (batch and scalar are separate pinned contracts — equality is checked
-  within each mode);
+  across schemes, variants, bit modes, torus wrap and both route lanes
+  (the batched engine on plain meshes, the per-packet loop on tori and
+  under bit modes — separate pinned contracts, equality is checked
+  within each lane);
 * its planned-bit cost model agrees with the global router's, so budget
   enforcement degrades exactly the same packets.
 """
@@ -149,10 +150,9 @@ class TestCompactRouter:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_byte_identical_to_global_router(self, mesh, seed):
         problem = _problem(mesh)
-        for batch in (True, False):
-            a = HierarchicalRouter().route(problem, seed=seed, batch=batch)
-            b = CompactHierarchicalRouter().route(problem, seed=seed, batch=batch)
-            assert digest(a.paths) == digest(b.paths), (mesh, seed, batch)
+        a = HierarchicalRouter().route(problem, seed=seed)
+        b = CompactHierarchicalRouter().route(problem, seed=seed)
+        assert digest(a.paths) == digest(b.paths), (mesh, seed)
 
     @pytest.mark.parametrize(
         "kwargs",

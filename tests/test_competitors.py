@@ -5,7 +5,7 @@ Covers the PR-9 acceptance matrix:
 * ``GeneralGraph`` honours the ``Mesh`` topology contract (distances,
   edge ids, CSR adjacency) and cross-checks against ``Mesh`` on grids;
 * both competitor routers are byte-deterministic under fixed seeds, for
-  every batch mode and worker count, and per-packet oblivious;
+  every worker count, and per-packet oblivious;
 * the randomness budget meters them (semi-oblivious pays ``k·⌈log n⌉``
   fresh bits, the tree router zero), and a tight enforced cap pushes
   semi-oblivious packets down the recycled (tree) rung of the ladder;
@@ -190,7 +190,7 @@ class TestGeneralGraph:
 
 
 # ---------------------------------------------------------------------------
-# Determinism, batch modes, worker counts
+# Determinism, worker counts
 # ---------------------------------------------------------------------------
 
 TOPOLOGIES = (
@@ -205,16 +205,16 @@ class TestDeterminism:
     @pytest.mark.parametrize("name", ["semi-oblivious", "racke-tree"])
     @pytest.mark.parametrize("topo", TOPOLOGIES, ids=["8x8", "8x8t", "rr24", "dumbbell"])
     def test_scalar_vs_batch_byte_equality(self, name, topo):
-        """route(batch=True), route(batch=False) and a manual per-packet
-        select_path loop must all produce identical bytes."""
+        """route() and a manual per-packet select_path loop must produce
+        identical bytes (competitors have no batch spec: route() is the
+        per-packet loop)."""
         from repro.core.randomness import packet_streams
 
         mesh = topo()
         problem = random_pairs(mesh, 40, seed=3)
         router = make_router(name)
-        a = router.route(problem, seed=11, batch=True)
-        b = router.route(problem, seed=11, batch=False)
-        assert digest(a.paths) == digest(b.paths)
+        assert router.batch_spec(problem) is None
+        a = router.route(problem, seed=11)
         streams = packet_streams(a.seed, 0, problem.num_packets)
         manual = [
             router.select_path(mesh, int(s), int(t), stream)

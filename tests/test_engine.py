@@ -15,6 +15,7 @@ from repro.routing.baselines import (
     RandomDimOrderRouter,
     ValiantRouter,
 )
+from repro.verify.oracles import oracle_route
 from repro.workloads.generators import nearest_neighbor, random_pairs
 from repro.workloads.permutations import random_permutation, transpose
 
@@ -30,43 +31,39 @@ HIER_CONFIGS = [
 ]
 
 
-def _assert_identical(result_a, result_b, mesh, problem):
-    assert len(result_a.paths) == len(result_b.paths)
-    for pa, pb, s, t in zip(
-        result_a.paths, result_b.paths, problem.sources, problem.dests
-    ):
+def _assert_identical(paths_a, paths_b, mesh, problem):
+    assert len(paths_a) == len(paths_b)
+    for pa, pb, s, t in zip(paths_a, paths_b, problem.sources, problem.dests):
         assert pa.dtype == np.int64 and pb.dtype == np.int64
         assert pa.tobytes() == pb.tobytes()
         assert is_valid_path(mesh, pa, int(s), int(t))
 
 
+def _assert_matches_oracle(router, problem, seed):
+    """The engine's paths equal the scalar replay of the batch protocol."""
+    result = router.route(problem, seed=seed)
+    reference, _ = oracle_route(router, problem, result.seed)
+    _assert_identical(result.paths, reference, problem.mesh, problem)
+    return result
+
+
 class TestByteIdentity:
-    """The acceptance contract: array assembly == scalar loop assembly,
-    byte for byte, from the same random plan."""
+    """The acceptance contract: array assembly == the scalar oracle's
+    packet-by-packet replay, byte for byte, from the same random plan."""
 
     @pytest.mark.parametrize("config", HIER_CONFIGS, ids=lambda c: str(c) or "default")
     def test_hierarchical(self, config):
         mesh = Mesh((16, 16))
         problem = transpose(mesh)
         router = HierarchicalRouter(**config)
-        _assert_identical(
-            router.route(problem, seed=7),
-            router.route(problem, seed=7, batch="loop"),
-            mesh,
-            problem,
-        )
+        _assert_matches_oracle(router, problem, 7)
 
     @pytest.mark.parametrize("sides", [(8, 8), (4, 4, 4), (2, 2, 2, 2, 2)])
     def test_dimensions(self, sides):
         mesh = Mesh(sides)
         problem = random_pairs(mesh, 64, seed=5)
         router = HierarchicalRouter()
-        _assert_identical(
-            router.route(problem, seed=2),
-            router.route(problem, seed=2, batch="loop"),
-            mesh,
-            problem,
-        )
+        _assert_matches_oracle(router, problem, 2)
 
     @pytest.mark.parametrize(
         "router",
@@ -83,12 +80,7 @@ class TestByteIdentity:
     def test_baselines(self, router):
         mesh = Mesh((16, 16))
         problem = nearest_neighbor(mesh, seed=9)
-        _assert_identical(
-            router.route(problem, seed=3),
-            router.route(problem, seed=3, batch="loop"),
-            mesh,
-            problem,
-        )
+        _assert_matches_oracle(router, problem, 3)
 
     def test_self_loops_and_duplicates(self):
         mesh = Mesh((8, 8))
@@ -97,22 +89,17 @@ class TestByteIdentity:
             np.array([5, 9, 9, 0]),
             np.array([5, 41, 41, 63]),
         )
-        router = HierarchicalRouter()
-        res = router.route(problem, seed=1)
-        _assert_identical(res, router.route(problem, seed=1, batch="loop"), mesh, problem)
+        res = _assert_matches_oracle(HierarchicalRouter(), problem, 1)
         assert res.paths[0].tolist() == [5]
 
     def test_deterministic_router_matches_legacy_exactly(self):
-        # dim-order has no randomness, so even the legacy loop must agree.
+        # dim-order has no randomness, so even a plain per-packet
+        # select_path loop must agree with the engine.
         mesh = Mesh((16, 16))
         problem = transpose(mesh)
         router = DimensionOrderRouter()
-        _assert_identical(
-            router.route(problem, seed=0),
-            router.route(problem, seed=0, batch=False),
-            mesh,
-            problem,
-        )
+        loop = [router.select_path(mesh, s, t, None) for s, t in problem.pairs()]
+        _assert_identical(router.route(problem, seed=0).paths, loop, mesh, problem)
 
 
 class TestSequenceTables:
@@ -181,20 +168,9 @@ class TestFallbacks:
         mesh = Mesh((6, 6))
         assert HierarchicalRouter().batch_spec(transpose(mesh)) is None
 
-    def test_batch_false_forces_legacy(self):
-        mesh = Mesh((8, 8))
-        problem = transpose(mesh)
-        res = HierarchicalRouter().route(problem, seed=0, batch=False)
-        assert res.validate()
-
-    def test_unknown_batch_mode_rejected(self):
-        mesh = Mesh((8, 8))
-        with pytest.raises(ValueError, match="batch mode"):
-            HierarchicalRouter().route(transpose(mesh), seed=0, batch="nonsense")
-
 
 class TestEmptyProblems:
-    """Regression: a zero-packet problem must route in every mode.  The
+    """Regression: a zero-packet problem must route on every router.  The
     array assembler's ``counts.reshape(N, -1)`` raised on N == 0, and
     ``Router.route`` papered over it by skipping the engine entirely when
     ``num_packets`` was zero — which silently changed the code path under
@@ -206,18 +182,11 @@ class TestEmptyProblems:
         empty = np.empty(0, dtype=np.int64)
         return RoutingProblem(mesh, empty, empty, name="empty")
 
-    @pytest.mark.parametrize("batch", [True, "loop", False], ids=str)
-    def test_every_registered_router(self, empty_problem, batch):
+    def test_every_registered_router(self, empty_problem):
         from repro.routing.registry import available_routers, make_router
 
         for name in available_routers():
-            router = make_router(name)
-            try:
-                result = router.route(empty_problem, seed=0, batch=batch)
-            except TypeError:
-                # non-oblivious routers (greedy-offline) override route()
-                # without the batch kwarg; the empty case must still work
-                result = router.route(empty_problem, seed=0)
+            result = make_router(name).route(empty_problem, seed=0)
             assert len(result.paths) == 0, name
             assert result.validate(), name
             assert result.congestion == 0 and result.dilation == 0
@@ -228,14 +197,13 @@ class TestEmptyProblems:
         router = HierarchicalRouter()
         spec = router.batch_spec(empty_problem)
         assert spec is not None and spec.num_packets == 0
-        for mode in ("array", "loop"):
-            result = run_batch(router, spec, empty_problem, seed=0, assemble=mode)
-            assert len(result.paths) == 0
-            assert result.paths.nodes.size == 0
+        result = run_batch(router, spec, empty_problem, seed=0)
+        assert len(result.paths) == 0
+        assert result.paths.nodes.size == 0
 
     def test_empty_goes_through_the_engine(self, empty_problem):
-        """The num_packets guard is gone: batch=True on an empty problem
-        exercises the engine, not the legacy loop."""
+        """The num_packets guard is gone: an empty problem still
+        exercises the engine, not the per-packet loop."""
         called = []
         router = HierarchicalRouter()
         orig = router.batch_spec

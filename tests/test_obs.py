@@ -222,9 +222,9 @@ class TestThreading:
     def test_router_legacy_loop_stage(self):
         prof = Profiler()
         router = HierarchicalRouter(profiler=prof)
-        mesh = Mesh((8, 8))
+        mesh = Mesh((8, 8), torus=True)  # no batch spec: the per-packet loop
         problem = transpose(mesh)
-        router.route(problem, seed=0, batch=False)
+        router.route(problem, seed=0)
         assert prof.stages["route.select_loop"].calls == 1
         assert prof.counters["route.packets"] == problem.num_packets
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
+import struct
 import subprocess
 import threading
 import time
@@ -26,6 +28,7 @@ from repro.core import shm as core_shm
 from repro.routing.registry import make_router
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.pool import WarmPool
+from repro.service.proto import recv_msg
 from repro.service.server import RoutingService
 from repro.service.shm import SharedPairs, share_pairs, sweep_worker_segments
 from repro.workloads import random_pairs
@@ -183,6 +186,53 @@ class TestAdmissionEdges:
                 client.route(problem, router="no-such-router")
             ok = client.route(problem, router="hierarchical", seed=2)
         assert ok.paths.nodes.tobytes() == _local_bytes(problem, "hierarchical", 2)[0]
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"op": "route", "arrays": [["sources", -1]]},
+            {"op": "route", "arrays": [["sources", 1 << 40]]},
+            {"op": "route", "arrays": [["sources", "abc"]]},
+            ["op", "route"],
+            {"op": "route", "arrays": 5},
+        ],
+        ids=["negative-count", "huge-count", "string-count", "list", "arrays-int"],
+    )
+    def test_malformed_header_is_a_counted_protocol_error(self, service, header):
+        """A header the protocol cannot honour gets an error reply and a
+        ``service.protocol_errors`` count — never a crashed handler thread
+        or an allocation sized by the peer's claim."""
+
+        def protocol_errors(client):
+            counters = client.stats()["profile"]["counters"]
+            return counters.get("service.protocol_errors", 0)
+
+        crashes = []
+        old_hook = threading.excepthook
+        threading.excepthook = crashes.append
+        try:
+            with ServiceClient(service.socket_path) as client:
+                before = protocol_errors(client)
+            payload = json.dumps(header).encode()
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.connect(service.socket_path)
+                raw.sendall(struct.pack(">I", len(payload)) + payload)
+                raw.shutdown(socket.SHUT_WR)
+                reply = recv_msg(raw)
+            problem = build_workload("transpose", parse_mesh("8x8"), 0)
+            with ServiceClient(service.socket_path) as client:
+                after = protocol_errors(client)
+                routed = client.route(problem, seed=3)
+        finally:
+            threading.excepthook = old_hook
+        assert reply is not None, "the handler sent no reply"
+        assert reply[0]["ok"] is False
+        assert "protocol error" in reply[0]["error"]
+        assert after == before + 1
+        assert crashes == []
+        nodes, offsets = _local_bytes(problem, "hierarchical", 3)
+        assert routed.paths.nodes.tobytes() == nodes
+        assert routed.paths.offsets.tobytes() == offsets
 
     def test_unknown_op_and_ping_and_stats(self, service):
         with ServiceClient(service.socket_path) as client:
