@@ -22,6 +22,17 @@ bucketed row-sort pass precomputes, for every position, the position of
 its node's last occurrence within the path, and a lockstep pointer-chase
 over all cyclic paths at once emits the erased nodes — O(total) work,
 no per-path Python.
+
+The row-sort pass groups paths of equal length ``L`` into a dense
+``(k, L)`` matrix and sorts each row by the key ``value * L + position``
+(node ids times a path length stay far inside int64).  Every node value
+becomes one contiguous run, in position order, whose last column holds
+the value's last original position.  A *run-end fill* finds that column
+for every sorted column at once: mark column ``i`` with ``i`` where the
+run ends there and with ``L`` where the next value is equal, take a
+running minimum over the reversed columns, and gather the sorted
+positions at the result.  That is a fixed number of numpy calls per
+bucket, whatever ``L`` and the mesh size.
 """
 
 from __future__ import annotations
@@ -53,7 +64,8 @@ def _last_occurrence(nodes, offsets, lens, starts):
     ``has_dup[p]`` whether path ``p`` contains any revisited node.
     Computed per length-bucket so each bucket is a dense ``(k, L)`` matrix
     sorted row-wise — many small-row sorts beat one global sort of the
-    whole node stream.
+    whole node stream — followed by the run-end fill described in the
+    module docstring.
     """
     N = offsets.size - 1
     jump = np.empty(nodes.size, dtype=np.int64)
@@ -71,20 +83,23 @@ def _last_occurrence(nodes, offsets, lens, starts):
         if L == 1:
             jump[starts[rows]] = 0
             continue
-        idx = starts[rows][:, None] + np.arange(L, dtype=np.int64)
-        mat = nodes[idx]
-        srt = np.argsort(mat, axis=1, kind="stable")
-        sm = np.take_along_axis(mat, srt, axis=1)
+        cols = np.arange(L, dtype=np.int64)
+        idx = starts[rows][:, None] + cols
+        # One key per (value, position) pair: keys are unique, so a plain
+        # row sort orders by value and, within a value, by position.
+        key = nodes[idx] * L + cols
+        key.sort(axis=1)
+        sm, srt = np.divmod(key, L)
         same = sm[:, 1:] == sm[:, :-1]  # sorted col i == col i+1
         has_dup[rows] = same.any(axis=1)
-        # Walk sorted columns right-to-left carrying each value-group's
-        # last original position (stable sort => group max is rightmost).
-        lastpos = np.empty_like(srt)
-        cur = srt[:, L - 1]
-        lastpos[:, L - 1] = cur
-        for i in range(L - 2, -1, -1):
-            cur = np.where(same[:, i], cur, srt[:, i])
-            lastpos[:, i] = cur
+        # Run-end fill: endcol[:, i] becomes the last sorted column of
+        # column i's value-run, which holds the value's last position.
+        endcol = np.empty_like(srt)
+        endcol[:, :-1] = np.where(same, L, cols[:-1])
+        endcol[:, -1] = L - 1
+        rev = endcol[:, ::-1]
+        np.minimum.accumulate(rev, axis=1, out=rev)
+        lastpos = np.take_along_axis(srt, endcol, axis=1)
         local = np.empty_like(srt)
         np.put_along_axis(local, srt, lastpos, axis=1)
         jump[idx] = local

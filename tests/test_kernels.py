@@ -158,10 +158,8 @@ def test_numba_matches_numpy_bytes(name, seed):
 # ---------------------------------------------------------------------------
 # The numpy tier vs the scalar referees.
 # ---------------------------------------------------------------------------
-@settings(max_examples=60)
-@given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=25),
-                min_size=1, max_size=8))
-def test_decycle_matches_scalar_and_oracle(raw_paths):
+def _check_decycle(raw_paths):
+    """The numpy decycle kernel against both scalar referees."""
     lens = np.asarray([len(p) for p in raw_paths], dtype=np.int64)
     offsets = np.zeros(lens.size + 1, dtype=np.int64)
     np.cumsum(lens, out=offsets[1:])
@@ -175,6 +173,35 @@ def test_decycle_matches_scalar_and_oracle(raw_paths):
         assert got == oracle_remove_cycles(p)
         n_changed += len(got) != len(p)
     assert changed == n_changed
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=25),
+                min_size=1, max_size=8))
+def test_decycle_matches_scalar_and_oracle(raw_paths):
+    _check_decycle(raw_paths)
+
+
+@pytest.mark.parametrize("alphabet", [2, 3])
+def test_decycle_large_equal_length_bucket(alphabet):
+    # One length bucket of many long rows over a tiny alphabet: every row
+    # sorts into a few long runs of equal values.
+    rng = np.random.default_rng(alphabet)
+    rows = rng.integers(0, alphabet, size=(64, 240)).tolist()
+    rows[0] = [1] * 240  # a single run spanning the whole row
+    rows[1] = list(range(alphabet)) * (240 // alphabet)
+    _check_decycle(rows)
+
+
+def test_decycle_large_mixed_length_batch():
+    rng = np.random.default_rng(11)
+    lens = np.concatenate((
+        np.full(70, 200), np.full(66, 257), rng.integers(1, 300, size=60),
+    ))
+    paths = [rng.integers(0, 2 + i % 2, size=int(n)).tolist() for i, n in enumerate(lens)]
+    paths += [list(range(200)), [5]]  # acyclic rows ride in the same batch
+    rng.shuffle(paths)
+    _check_decycle(paths)
 
 
 def test_decycle_identity_fast_path_returns_same_objects():

@@ -199,6 +199,55 @@ class TestEdgeIds:
         with pytest.raises(ValueError):
             m.edge_ids(np.asarray([0]), np.asarray([5]))
 
+    def test_row_boundary_pair_raises(self):
+        # Flat ids 3 and 4 differ by 1 but sit on different rows.
+        m = Mesh((4, 4))
+        with pytest.raises(ValueError):
+            m.edge_ids(np.asarray([3]), np.asarray([4]))
+
+    def test_wrap_pair_both_orientations(self):
+        # (0, 4) wraps dimension 1 and (0, 15) wraps dimension 0.
+        t = Mesh((4, 5), torus=True)
+        for u, v in ((4, 0), (0, 4), (15, 0), (0, 15)):
+            eid = t.edge_ids(np.asarray([u]), np.asarray([v]))
+            assert sorted(t.edge_endpoints[eid[0]].tolist()) == sorted((u, v))
+        fwd = t.edge_ids(np.asarray([4, 15]), np.asarray([0, 0]))
+        back = t.edge_ids(np.asarray([0, 0]), np.asarray([4, 15]))
+        assert fwd.tolist() == back.tolist()
+        # Same gaps on a mesh are not links.
+        for u, v in ((4, 0), (15, 0)):
+            with pytest.raises(ValueError):
+                Mesh((4, 5)).edge_ids(np.asarray([u]), np.asarray([v]))
+
+    def test_side2_torus_dimension_has_no_wrap(self):
+        t = Mesh((2, 4), torus=True)
+        # Dimension 0 is a side-2 ring: its only link is the plain one.
+        assert t.num_edges == 4 + 2 * 4
+        eid = t.edge_ids(np.asarray([4]), np.asarray([0]))
+        assert sorted(t.edge_endpoints[eid[0]].tolist()) == [0, 4]
+        # Dimension 1 wraps; a gap of 3 across rows does not.
+        eid = t.edge_ids(np.asarray([3]), np.asarray([0]))
+        assert sorted(t.edge_endpoints[eid[0]].tolist()) == [0, 3]
+        with pytest.raises(ValueError):
+            t.edge_ids(np.asarray([1]), np.asarray([4]))
+
+    def test_side1_dimension(self):
+        m = Mesh((3, 1, 4))
+        for e in range(m.num_edges):
+            u, v = m.edge_id_to_endpoints(e)
+            assert int(m.edge_ids(np.asarray([v]), np.asarray([u]))[0]) == e
+        # Strides are (4, 4, 1): a gap of 4 is a dimension-0 link only.
+        assert int(m.edge_ids(np.asarray([0]), np.asarray([4]))[0]) == 0
+        for u, v in ((3, 4), (0, 12), (0, 0)):
+            with pytest.raises(ValueError):
+                m.edge_ids(np.asarray([u]), np.asarray([v]))
+
+    def test_out_of_range_node_raises(self):
+        m = Mesh((4, 4))
+        for u, v in ((-1, 0), (15, 16), (16, 12)):
+            with pytest.raises(ValueError, match="out of range"):
+                m.edge_ids(np.asarray([u]), np.asarray([v]))
+
     def test_empty_input(self):
         m = Mesh((4, 4))
         assert m.edge_ids(np.empty(0), np.empty(0)).size == 0

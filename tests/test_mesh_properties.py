@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the mesh substrate."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +67,23 @@ def test_edge_id_bijection(mesh):
         assert back == e
         ids.add(e)
     assert len(ids) == mesh.num_edges
+
+
+@settings(max_examples=60)
+@given(meshes(max_d=3, max_side=5, torus=None), st.data())
+def test_edge_ids_rejects_exactly_the_non_links(mesh, data):
+    # Pairs range over [-1, n] so out-of-range ids, equal ids, row-boundary
+    # neighbours in flat order and wrap-sized gaps all get drawn.
+    node = st.integers(-1, mesh.n)
+    for _ in range(20):
+        u, v = data.draw(node), data.draw(node)
+        in_range = 0 <= u < mesh.n and 0 <= v < mesh.n
+        if in_range and v in mesh.neighbors(u):
+            eid = int(mesh.edge_ids(np.asarray([u]), np.asarray([v]))[0])
+            assert sorted(mesh.edge_endpoints[eid].tolist()) == sorted((u, v))
+        else:
+            with pytest.raises(ValueError):
+                mesh.edge_ids(np.asarray([u]), np.asarray([v]))
 
 
 @settings(max_examples=30)
