@@ -18,12 +18,11 @@ against the pre-PathSet list-of-arrays implementations, kept below as the
 baseline.  The contract recorded here: every metric is at least 5x faster
 on a 100k-packet 64x64 workload.
 
-``run_kernels_experiment`` is the kernels-on/off A/B table (PR 6): one
-full-route row per available backend (``repro.kernels``), plus a
-stage-level A/B of the dominant assembly pass — the loop-erasure kernel
-against the seed-era per-path ``remove_cycles`` Python loop, kept below
-verbatim.  Outputs are asserted byte-identical before any time is
-reported.
+``run_kernels_experiment`` times one full route, plus a stage-level A/B
+of the dominant assembly pass — the loop-erasure kernel
+(``repro.kernels.decycle_paths``) against the seed-era per-path
+``remove_cycles`` Python loop, kept below verbatim.  The two decycle
+outputs are asserted byte-identical before any time is reported.
 """
 
 from __future__ import annotations
@@ -245,40 +244,24 @@ def run_kernels_experiment(
 ) -> list[dict]:
     mesh, problem, nodes, offsets, starts, lens = _cyclic_assembly(m, packets, seed)
     router = HierarchicalRouter()
-    router.route(problem, seed=seed)  # warm cache + JIT (if numba)
-
-    rows = []
-    base_digest = None
-    for backend in kernels.available_backends():
-        with kernels.use_backend(backend):
-            wall = _time(lambda: router.route(problem, seed=seed))
-            ps = router.route(problem, seed=seed).paths
-        digest = ps.nodes.tobytes() + ps.offsets.tobytes()
-        if base_digest is None:
-            base_digest = digest
-        assert digest == base_digest, f"backend {backend} changed the bytes"
-        rows.append(
-            {
-                "run": f"route [kernels={backend}]",
-                "wall_s": round(wall, 4),
-                "pkts/s": int(packets / wall),
-            }
-        )
+    router.route(problem, seed=seed)  # warm the decomposition cache
+    wall = _time(lambda: router.route(problem, seed=seed))
+    rows = [
+        {"run": "route", "wall_s": round(wall, 4), "pkts/s": int(packets / wall)}
+    ]
 
     want = _seed_decycle_baseline(mesh.n, nodes, offsets[:-1], lens)
-    for backend in kernels.available_backends():
-        with kernels.use_backend(backend):
-            out_nodes, out_offsets, _ = kernels.decycle_paths(nodes, offsets)
-            assert out_nodes.tobytes() == want.nodes.tobytes()
-            assert out_offsets.tobytes() == want.offsets.tobytes()
-            wall = _time(lambda: kernels.decycle_paths(nodes, offsets))
-        rows.append(
-            {
-                "run": f"decycle stage [kernels={backend}]",
-                "wall_s": round(wall, 4),
-                "pkts/s": int(packets / wall),
-            }
-        )
+    out_nodes, out_offsets, _ = kernels.decycle_paths(nodes, offsets)
+    assert out_nodes.tobytes() == want.nodes.tobytes()
+    assert out_offsets.tobytes() == want.offsets.tobytes()
+    wall = _time(lambda: kernels.decycle_paths(nodes, offsets))
+    rows.append(
+        {
+            "run": "decycle stage [vectorised kernel]",
+            "wall_s": round(wall, 4),
+            "pkts/s": int(packets / wall),
+        }
+    )
     seed_wall = _time(
         lambda: _seed_decycle_baseline(mesh.n, nodes, offsets[:-1], lens),
         repeats=1,
@@ -309,9 +292,9 @@ def test_t9_metrics_columnar_speedup():
 def test_t9_kernels_ab_byte_identical():
     # Reduced workload for pytest; the full 200k-packet 64x64 A/B is
     # run_kernels_experiment's default.  The byte-identity asserts inside
-    # are the test — any backend divergence raises.
+    # are the test — a decycle divergence from the seed-era loop raises.
     rows = run_kernels_experiment(m=16, packets=2_000)
-    assert any(r["run"].startswith("route [kernels=") for r in rows)
+    assert [r["run"] for r in rows][0] == "route"
     assert any("seed-era" in r["run"] for r in rows)
 
 
@@ -334,6 +317,6 @@ if __name__ == "__main__":
     )
     main_print(
         run_kernels_experiment,
-        "T9: kernels A/B, route + decycle stage per backend vs seed-era "
-        "loop (200k packets, 64x64)",
+        "T9: kernels, route + decycle stage vs seed-era loop "
+        "(200k packets, 64x64)",
     )

@@ -98,10 +98,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_route(args) -> int:
-    from repro import kernels
-
-    if args.kernels != "auto":
-        kernels.set_backend(args.kernels)
     mesh = parse_mesh(args.mesh, args.torus)
     problem = build_workload(args.workload, mesh, args.seed)
     if args.via is not None:
@@ -150,9 +146,6 @@ def _cmd_route(args) -> int:
 
         print()
         print(profiler.format())
-        backend = profiler.annotations.get("kernels.backend", kernels.backend())
-        print(f"kernels: backend={backend} "
-              f"(available: {', '.join(kernels.available_backends())})")
         st = cache.stats()
         print(f"cache: hits={st.hits} misses={st.misses} entries={st.entries} "
               f"hit_rate={st.hit_rate:.0%}")
@@ -201,11 +194,8 @@ def _cmd_serve(args) -> int:
     """``repro serve``: run the routing daemon until stopped."""
     import signal
 
-    from repro import kernels
     from repro.service.server import RoutingService
 
-    if args.kernels != "auto":
-        kernels.set_backend(args.kernels)
     prewarm = tuple(s for s in (args.prewarm or "").split(",") if s)
     service = RoutingService(
         args.socket,
@@ -543,9 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print per-stage timings, counters and cache stats")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write a JSONL event trace (implies profiling)")
-    p.add_argument("--kernels", default="auto", choices=("auto", "numba", "numpy"),
-                   help="hot-loop kernel backend (default: auto; results are "
-                        "byte-identical either way)")
     p.add_argument("--budget-mode", default=None,
                    choices=("off", "measure", "enforce"),
                    help="randomness budget: measure meters planned bits, "
@@ -580,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prewarm", default="", metavar="MESHES",
                    help="comma-separated mesh specs to warm at boot, e.g. "
                         "'16x16,8x8x8:torus'")
-    p.add_argument("--kernels", default="auto", choices=("auto", "numba", "numpy"))
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("compare", help="compare routers on one workload")

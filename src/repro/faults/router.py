@@ -34,21 +34,21 @@ class FaultRoutingError(RuntimeError):
 
 
 def shortest_alive_path(
-    mesh: Mesh, s: int, t: int, alive: np.ndarray, *, profiler=None
+    mesh: Mesh, s: int, t: int, alive: np.ndarray
 ) -> np.ndarray | None:
     """A shortest path from ``s`` to ``t`` using only alive edges.
 
     BFS over the alive subgraph's CSR adjacency (all edges have unit
-    length, so BFS is Dijkstra here), dispatched through
+    length, so BFS is Dijkstra here), computed by
     :func:`repro.kernels.bfs_parents`.  Returns the node array, or
     ``None`` when ``t`` is unreachable.  Deterministic: within a level the
     first writer in (ascending frontier node, CSR neighbor order) wins, so
-    equal-length ties always break the same way on either backend.
+    equal-length ties always break the same way.
     """
     if s == t:
         return np.asarray([s], dtype=np.int64)
     indptr, heads, _eids = mesh.adjacency_csr(alive)
-    parent = kernels.bfs_parents(indptr, heads, s, t, mesh.n, profiler=profiler)
+    parent = kernels.bfs_parents(indptr, heads, s, t, mesh.n)
     if parent[t] == -1:
         return None
     path = [t]
@@ -161,7 +161,7 @@ class FaultAwareRouter(Router):
                 draws += 1
         if path.size < 2 or bool(alive[mesh.edge_ids(path[:-1], path[1:])].all()):
             return path, draws
-        detour = shortest_alive_path(mesh, s, t, alive, profiler=self.profiler)
+        detour = shortest_alive_path(mesh, s, t, alive)
         if detour is None:
             self.unroutable += 1
             self._count("unroutable")

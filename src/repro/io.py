@@ -12,6 +12,8 @@ external tooling.
 from __future__ import annotations
 
 import csv
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,6 +24,12 @@ from repro.mesh.mesh import Mesh
 from repro.routing.base import RoutingProblem, RoutingResult
 
 __all__ = ["save_result", "load_result", "rows_to_csv", "rows_from_csv"]
+
+#: what reading a damaged or foreign ``.npz`` raises, short of a missing file
+_MALFORMED = (
+    KeyError, IndexError, TypeError, ValueError, EOFError, NotImplementedError,
+    zipfile.BadZipFile, zlib.error,
+)
 
 
 def save_result(path: str | Path, result: RoutingResult) -> None:
@@ -46,24 +54,38 @@ def save_result(path: str | Path, result: RoutingResult) -> None:
 
 
 def load_result(path: str | Path) -> RoutingResult:
-    """Inverse of :func:`save_result`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        mesh = Mesh(tuple(int(s) for s in data["sides"]), torus=bool(data["torus"][0]))
-        problem = RoutingProblem(
-            mesh,
-            data["sources"],
-            data["dests"],
-            str(data["problem_name"][0]),
+    """Inverse of :func:`save_result`.
+
+    A missing file raises :class:`FileNotFoundError`.  Any other file that
+    does not hold a saved result — not an archive, truncated, an array
+    missing or malformed, a path node id outside ``[0, mesh.n)`` — raises
+    :class:`ValueError` naming the file.
+    """
+    path = Path(path)
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            mesh = Mesh(
+                tuple(int(s) for s in data["sides"]), torus=bool(data["torus"][0])
+            )
+            problem = RoutingProblem(
+                mesh,
+                data["sources"],
+                data["dests"],
+                str(data["problem_name"][0]),
+            )
+            paths = PathSet.from_lengths(data["path_data"], data["path_lengths"])
+            # str() covers both the string format and legacy int64 files.
+            seed = int(str(data["seed"][0]))
+            router_name = str(data["router_name"][0])
+    except _MALFORMED as exc:
+        raise ValueError(f"{path}: not a saved routing result ({exc!r})") from exc
+    nodes = paths.nodes
+    if nodes.size and (int(nodes.min()) < 0 or int(nodes.max()) >= mesh.n):
+        raise ValueError(
+            f"{path}: path node ids must lie in [0, {mesh.n}) for mesh "
+            f"{'x'.join(map(str, mesh.sides))}"
         )
-        paths = PathSet.from_lengths(data["path_data"], data["path_lengths"])
-        # str() covers both the string format and legacy int64 files.
-        seed = int(str(data["seed"][0]))
-        return RoutingResult(
-            problem,
-            paths,
-            str(data["router_name"][0]),
-            None if seed == -1 else seed,
-        )
+    return RoutingResult(problem, paths, router_name, None if seed == -1 else seed)
 
 
 def rows_to_csv(path: str | Path, rows: Sequence[Mapping]) -> None:

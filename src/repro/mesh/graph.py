@@ -68,9 +68,14 @@ class GeneralGraph:
         n: int | None = None,
         name: str = "general-graph",
     ):
-        ep = np.asarray(edges, dtype=np.int64)
-        if ep.ndim != 2 or ep.shape[1] != 2 or ep.shape[0] == 0:
+        raw = np.asarray(edges)
+        if raw.ndim != 2 or raw.shape[1] != 2 or raw.shape[0] == 0:
             raise ValueError("edges must be a non-empty (E, 2) array of node pairs")
+        if raw.dtype.kind not in "iu" and not (
+            raw.dtype.kind == "f" and np.all(np.isfinite(raw) & (raw == np.floor(raw)))
+        ):
+            raise ValueError("node ids must be integers")
+        ep = raw.astype(np.int64)
         if ep.min() < 0:
             raise ValueError("node ids must be non-negative")
         if np.any(ep[:, 0] == ep[:, 1]):
@@ -82,8 +87,8 @@ class GeneralGraph:
         )
         if w.shape != (ep.shape[0],):
             raise ValueError("weights must align with edges")
-        if not np.all(w > 0):
-            raise ValueError("edge weights must be positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("edge weights must be finite and positive")
         lo = np.minimum(ep[:, 0], ep[:, 1])
         hi = np.maximum(ep[:, 0], ep[:, 1])
         self.n = int(hi.max()) + 1 if n is None else int(n)
@@ -91,6 +96,10 @@ class GeneralGraph:
             raise ValueError("need at least two nodes")
         if int(hi.max()) >= self.n:
             raise ValueError("edge endpoint out of range")
+        # A connected graph on n nodes has at least n - 1 edges; checking
+        # that first keeps a huge n from sizing the reachability scan.
+        if ep.shape[0] < self.n - 1:
+            raise ValueError("graph must be connected")
         keys = lo * self.n + hi
         order = np.argsort(keys, kind="stable")
         keys = keys[order]

@@ -69,8 +69,8 @@ def node_loads(mesh: Mesh, paths: Sequence[np.ndarray] | PathSet) -> np.ndarray:
     """How many paths visit each node (endpoints included).
 
     A path visiting a node several times (a walk with a cycle) still counts
-    once for that node.  Dispatches to :func:`repro.kernels.node_loads_csr`
-    (numba loop, or the numpy tier's bucketed row-wise sort-and-dedupe).
+    once for that node.  Counted by :func:`repro.kernels.node_loads_csr`
+    (a bucketed row-wise sort-and-dedupe).
     """
     ps = PathSet.from_paths(paths)
     if ps.total_nodes == 0:

@@ -16,14 +16,11 @@ JSONL trace schema (one JSON object per line, see docs/PERFORMANCE.md):
     Emitted when a stage context exits (only when a trace sink is set).
 ``{"event": "counter", "name": str, "delta": int, "seq": int}``
     Emitted on every :meth:`Profiler.count` call with a trace sink.
-``{"event": "annotation", "key": str, "value": ..., "seq": int}``
-    Emitted on every :meth:`Profiler.annotate` call with a trace sink.
 ``{"event": "observation", "name": str, "value": float, "seq": int}``
     Emitted on every :meth:`Profiler.observe` call with a trace sink.
-``{"event": "summary", "stages": {...}, "counters": {...}, "annotations": {...}}``
+``{"event": "summary", "stages": {...}, "counters": {...}, ...}``
     Emitted by :meth:`write_trace` / :meth:`write_summary`; ``stages``
-    maps stage name to ``{"calls": int, "wall_s": float}``;
-    ``annotations`` carries run facts such as ``kernels.backend``.
+    maps stage name to ``{"calls": int, "wall_s": float}``.
 """
 
 from __future__ import annotations
@@ -115,9 +112,6 @@ class Profiler:
     trace: str | IO[str] | None = None
     stages: dict[str, StageStats] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
-    #: run facts, not measurements — e.g. ``kernels.backend`` (last writer
-    #: wins on merge; workers report through snapshots like counters do)
-    annotations: dict[str, object] = field(default_factory=dict)
     #: streaming value summaries (:meth:`observe`) — e.g. per-request
     #: latency ``service.request_s``, sampled queue depth
     observations: dict[str, ObservationStats] = field(default_factory=dict)
@@ -152,12 +146,6 @@ class Profiler:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + int(delta)
             self._emit({"event": "counter", "name": name, "delta": int(delta)})
-
-    def annotate(self, key: str, value) -> None:
-        """Record a run fact (e.g. ``kernels.backend``); last writer wins."""
-        with self._lock:
-            self.annotations[key] = value
-            self._emit({"event": "annotation", "key": key, "value": value})
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample of a measured value (latency, queue depth).
@@ -199,7 +187,6 @@ class Profiler:
         """
         stages = snapshot.get("stages", {})
         counters = snapshot.get("counters", {})
-        annotations = snapshot.get("annotations", {})
         observations = snapshot.get("observations", {})
         histograms = snapshot.get("histograms", {})
         with self._lock:
@@ -209,7 +196,6 @@ class Profiler:
                 mine.wall_s += float(st["wall_s"])
             for name, v in counters.items():
                 self.counters[name] = self.counters.get(name, 0) + int(v)
-            self.annotations.update(annotations)
             for name, ob in observations.items():
                 mine = self.observations.setdefault(name, ObservationStats())
                 mine.count += int(ob["count"])
@@ -228,7 +214,6 @@ class Profiler:
         with self._lock:
             self.stages.clear()
             self.counters.clear()
-            self.annotations.clear()
             self.observations.clear()
             self.histograms.clear()
             self._seq = 0
@@ -246,7 +231,6 @@ class Profiler:
             return {
                 "stages": {k: v.to_dict() for k, v in self.stages.items()},
                 "counters": dict(self.counters),
-                "annotations": dict(self.annotations),
                 "observations": {
                     k: v.to_dict() for k, v in self.observations.items()
                 },
@@ -292,10 +276,6 @@ class Profiler:
                 f"{k}: n={h.count} p50={h.percentile(50):.4g} "
                 f"p99={h.percentile(99):.4g}"
                 for k, h in sorted(self.histograms.items())
-            ))
-        if self.annotations:
-            lines.append("annotations: " + ", ".join(
-                f"{k}={v}" for k, v in sorted(self.annotations.items())
             ))
         return "\n".join(lines)
 

@@ -74,19 +74,12 @@ def route_sharded(
             budget=params,
         )
 
-    from repro import kernels
-
     profiler = router.profiler
     payload = prepare_router(router)
     warm_keys = tuple(router.warmup_keys(problem))
     own_executor = executor is None
     pool = (
-        make_executor(
-            w,
-            context=context,
-            warm_keys=warm_keys,
-            kernels_backend=kernels.backend(),
-        )
+        make_executor(w, context=context, warm_keys=warm_keys)
         if own_executor
         else executor
     )
@@ -108,7 +101,6 @@ def route_sharded(
                 offset=packet_offset + a,
                 warm_keys=warm_keys,
                 profile=profiler is not None,
-                kernels_backend=kernels.backend(),
                 budget=params,
                 use_shm=use_shm,
             )

@@ -13,11 +13,10 @@ imported modules and warm caches copy-on-write — but since the service
 tier must run on spawn-only platforms too, :func:`make_executor` now
 accepts an explicit ``context`` and supports ``spawn`` pools with an
 explicit worker warm-up initializer (:func:`repro.parallel.worker.warm_worker`)
-that pre-resolves the kernels backend and rebuilds the decomposition cache
-once per worker process instead of once per task.  Degradation to the
-:class:`SerialExecutor` for ``workers > 1`` is no longer silent: it warns
-once per process and the sharding layer records ``parallel.fallback_serial``
-in the profiler.
+that rebuilds the decomposition cache once per worker process instead of
+once per task.  Degradation to the :class:`SerialExecutor` for
+``workers > 1`` is no longer silent: it warns once per process and the
+sharding layer records ``parallel.fallback_serial`` in the profiler.
 """
 
 from __future__ import annotations
@@ -147,7 +146,6 @@ def make_executor(
     *,
     context: str = "auto",
     warm_keys: tuple = (),
-    kernels_backend: str | None = None,
     force_pool: bool = False,
 ):
     """An executor for ``workers`` shard processes.
@@ -156,9 +154,8 @@ def make_executor(
     exists, else spawn), ``"fork"``, ``"spawn"``, or ``"serial"``.  Spawn
     workers do not inherit the parent's state, so pools built here install
     :func:`repro.parallel.worker.warm_worker` as the pool initializer —
-    each worker pins the kernels backend and warms the decomposition cache
-    *once at start-up* (the explicit warm-up handshake) rather than per
-    task.  One worker gets the :class:`SerialExecutor` — unless
+    each worker warms the decomposition cache *once at start-up* (the
+    explicit warm-up handshake) rather than per task.  One worker gets the :class:`SerialExecutor` — unless
     ``force_pool`` asks for a real single-process pool, which the warm
     service does for process isolation even at ``workers=1``.  A concrete
     ``context`` the platform lacks degrades to serial with a single
@@ -178,6 +175,6 @@ def make_executor(
         max_workers=max(1, workers),
         mp_context=ctx,
         initializer=warm_worker,
-        initargs=(tuple(warm_keys), kernels_backend),
+        initargs=(tuple(warm_keys),),
     )
     return _PoolAdapter(pool, resolved)

@@ -38,29 +38,14 @@ __all__ = [
 _COUNTER_ATTRS = ("resamples", "detours", "unroutable")
 
 
-def _pin_kernels(backend: str | None) -> None:
-    """Align this worker's kernel backend with the parent's choice.
-
-    A spawned worker re-resolves ``REPRO_KERNELS`` at import, which already
-    matches the parent's environment; this covers the runtime-override case
-    (``set_backend`` / ``use_backend`` in the parent after import).
-    """
-    if backend is not None:
-        from repro import kernels
-
-        if kernels.backend() != backend:
-            kernels.set_backend(backend)
-
-
-def warm_worker(warm_keys: tuple = (), kernels_backend: str | None = None) -> None:
+def warm_worker(warm_keys: tuple = ()) -> None:
     """Pool-initializer warm-up: runs once per worker process at start-up.
 
-    Pins the kernels backend to the parent's choice and rebuilds the named
-    decomposition cache entries, so even a ``spawn`` worker (which inherits
-    nothing) is warm before its first shard task arrives.  Fork workers run
-    it too — it is idempotent and confirms the copy-on-write entries.
+    Rebuilds the named decomposition cache entries, so even a ``spawn``
+    worker (which inherits nothing) is warm before its first shard task
+    arrives.  Fork workers run it too — it is idempotent and confirms the
+    copy-on-write entries.
     """
-    _pin_kernels(kernels_backend)
     if warm_keys:
         cache.warm(warm_keys)
 
@@ -92,9 +77,6 @@ class ShardTask:
     offset: int  #: global index of the shard's first packet
     warm_keys: tuple = ()
     profile: bool = False
-    #: parent's kernel backend — workers pin theirs to match (results are
-    #: byte-identical regardless; this keeps *telemetry* comparable)
-    kernels_backend: str | None = None
     #: resolved :class:`~repro.core.budget.BudgetParams` (or ``None``) —
     #: resolved once in the parent so every shard enforces identically
     budget: object | None = None
@@ -156,8 +138,6 @@ class OnlinePathTask:
     offset: int  #: global injection index of the shard's first packet
     warm_keys: tuple = ()
     profile: bool = False
-    #: parent's kernel backend — workers pin theirs to match
-    kernels_backend: str | None = None
 
 
 @dataclass
@@ -184,7 +164,6 @@ def select_online_paths(task: OnlinePathTask) -> OnlinePathResult:
     from repro.core.randomness import SIM_PATHS, packet_stream
     from repro.faults.router import FaultRoutingError
 
-    _pin_kernels(task.kernels_backend)
     cache.warm(task.warm_keys)
     router = task.router
     if task.profile:
@@ -242,7 +221,6 @@ def select_online_paths(task: OnlinePathTask) -> OnlinePathResult:
 
 def route_shard(task: ShardTask) -> ShardResult:
     """Route one shard in the current process (the worker entry point)."""
-    _pin_kernels(task.kernels_backend)
     cold = cache.warm(task.warm_keys)
     router = task.router
     if task.profile:

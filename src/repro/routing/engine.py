@@ -181,9 +181,8 @@ def _assemble_array(
     so the result wraps those arrays directly in a
     :class:`~repro.core.pathset.PathSet` instead of splitting into
     ``list[np.ndarray]`` and re-flattening downstream.  The two hot
-    passes — step integration and loop erasure — dispatch through
-    :mod:`repro.kernels` (numba when available, vectorised numpy
-    otherwise; byte-identical either way).
+    passes — step integration and loop erasure — are
+    :mod:`repro.kernels` functions.
     """
     mesh = spec.mesh
     N = W.shape[0]
@@ -206,13 +205,10 @@ def _assemble_array(
         lens,
         starts,
         total,
-        profiler=profiler,
     )
     offsets = np.concatenate((starts, np.asarray([total], dtype=np.int64)))
     if spec.drop_cycles:
-        nodes, offsets, decycled = kernels.decycle_paths(
-            nodes, offsets, profiler=profiler
-        )
+        nodes, offsets, decycled = kernels.decycle_paths(nodes, offsets)
         if decycled and profiler is not None:
             profiler.count("engine.paths_decycled", decycled)
     # Freeze the freshly built buffers so PathSet can wrap them zero-copy
@@ -250,7 +246,6 @@ def run_batch(
         W = build_waypoints(spec, U_way)
         orders = resolve_orders(spec, U_ord)
     if profiler is not None:
-        profiler.annotate("kernels.backend", kernels.backend())
         profiler.count("engine.packets", spec.num_packets)
         profiler.count(
             "engine.rng_values", U_way.size + (U_ord.size if U_ord is not None else 0)

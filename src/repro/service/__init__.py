@@ -1,11 +1,11 @@
 """Long-lived routing service: warm worker pool behind a unix socket.
 
 ``python -m repro serve --socket /tmp/repro.sock`` boots a daemon whose
-worker processes pre-resolve the kernels backend and hold the
-decomposition cache resident, so a small routing request costs a warm
-dispatch instead of a pool boot plus a cold cache build.  Requests and
-results cross process boundaries through named shared-memory segments
-(:mod:`repro.core.shm`), never by pickling CSR arrays.
+worker processes hold the decomposition cache resident, so a small
+routing request costs a warm dispatch instead of a pool boot plus a cold
+cache build.  Requests and results cross process boundaries through named
+shared-memory segments (:mod:`repro.core.shm`), never by pickling CSR
+arrays.
 
 Layering: ``core``/``routing``/``parallel`` know nothing about the
 service; the service composes them.  Clients talk the length-prefixed

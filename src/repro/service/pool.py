@@ -68,14 +68,12 @@ class WarmPool:
         *,
         context: str = "auto",
         warm_keys: tuple = (),
-        kernels_backend: str | None = None,
         profiler=None,
         max_retries: int = 2,
     ):
         self.workers = resolve_workers(workers)
         self.context = context
         self.warm_keys = tuple(warm_keys)
-        self.kernels_backend = kernels_backend
         self.profiler = profiler
         self.max_retries = int(max_retries)
         self.worker_restarts = 0
@@ -91,7 +89,6 @@ class WarmPool:
             self.workers,
             context=self.context,
             warm_keys=self.warm_keys,
-            kernels_backend=self.kernels_backend,
             force_pool=self.context != "serial",
         )
 
@@ -111,8 +108,8 @@ class WarmPool:
         ``ProcessPoolExecutor`` starts processes lazily; parking one brief
         probe per worker makes the executor spawn its full complement, and
         each process runs the warm-up initializer before its probe — so
-        after this returns, the kernels backend is pinned and the
-        decomposition cache resident in every worker.
+        after this returns, the decomposition cache is resident in every
+        worker.
         """
         if not self.is_process_pool:
             return

@@ -90,12 +90,9 @@ class RoutingService:
         shard_threshold: int = 1 << 16,
         pairs_shm_min: int = 2048,
         prewarm: tuple = (),
-        kernels_backend: str | None = None,
         profiler: Profiler | None = None,
         request_timeout_s: float = 120.0,
     ):
-        from repro import kernels
-
         self.socket_path = str(socket_path)
         self.profiler = profiler if profiler is not None else Profiler()
         self.shard_threshold = int(shard_threshold)
@@ -106,7 +103,6 @@ class RoutingService:
             workers,
             context=context,
             warm_keys=self.warm_keys,
-            kernels_backend=kernels_backend or kernels.backend(),
             profiler=self.profiler,
         )
         self.batcher = MicroBatcher(

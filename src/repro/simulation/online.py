@@ -33,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro import kernels
 from repro.mesh.mesh import Mesh
 from repro.routing.base import Router
 
@@ -321,7 +320,6 @@ def simulate_online(
                 offset=a,
                 warm_keys=warm_keys,
                 profile=profiler is not None,
-                kernels_backend=kernels.backend(),
             )
             for a, b in shard_bounds(total_packets, w)
         ]

@@ -98,6 +98,12 @@ class TestGeneralGraph:
             GeneralGraph([(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="out of range"):
             GeneralGraph([(0, 5)], n=3)
+        with pytest.raises(ValueError, match="finite and positive"):
+            GeneralGraph([(0, 1), (1, 2), (2, 3)], weights=[1, np.inf, 1])
+        with pytest.raises(ValueError, match="integers"):
+            GeneralGraph([[0.5, 1.7], [1, 2]])
+        with pytest.raises(ValueError, match="connected"):
+            GeneralGraph([(0, 1)], n=10**12)
 
     def test_edge_ids_rejects_non_links(self):
         g = named_graph("dumbbell-16")

@@ -118,6 +118,54 @@ class TestResultRoundtrip:
         assert loaded.validate()
 
 
+class TestMalformedResult:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        mesh = Mesh((4, 4))
+        file = tmp_path / "result.npz"
+        result = HierarchicalRouter().route(random_pairs(mesh, 6, seed=0), seed=1)
+        save_result(file, result)
+        return file
+
+    @staticmethod
+    def _rewrite(file, **changes):
+        with np.load(file, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays.update(changes)
+        arrays = {k: v for k, v in arrays.items() if v is not None}
+        np.savez_compressed(file, **arrays)
+
+    def test_truncated_archive(self, saved):
+        raw = saved.read_bytes()
+        for cut in (10, len(raw) // 2, len(raw) - 1):
+            saved.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="result.npz"):
+                load_result(saved)
+
+    def test_not_an_archive(self, saved):
+        saved.write_bytes(b"routing results, honest" * 8)
+        with pytest.raises(ValueError, match="result.npz"):
+            load_result(saved)
+
+    def test_missing_key(self, saved):
+        self._rewrite(saved, path_lengths=None)
+        with pytest.raises(ValueError, match="result.npz.*path_lengths"):
+            load_result(saved)
+
+    @pytest.mark.parametrize("bad", [999, 16, -1])
+    def test_node_id_out_of_range(self, saved, bad):
+        with np.load(saved, allow_pickle=False) as data:
+            nodes = data["path_data"].copy()
+        nodes[0] = bad
+        self._rewrite(saved, path_data=nodes)
+        with pytest.raises(ValueError, match=r"result.npz.*\[0, 16\)"):
+            load_result(saved)
+
+    def test_missing_file_stays_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_result(tmp_path / "absent.npz")
+
+
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         rows = [

@@ -1,7 +1,20 @@
-"""Tests for the synchronous store-and-forward scheduler."""
+"""Tests for the synchronous store-and-forward scheduler.
+
+``TestGoldenMatrix`` pins both simulators (``simulate`` and
+``simulate_online``) to the committed hashes in
+``tests/golden/simulation_hashes.json``.
+"""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from tests.golden.regenerate_simulation_goldens import (
+    result_hash,
+    simulation_golden_cases,
+)
 
 from repro.core.path_selection import HierarchicalRouter
 from repro.mesh.mesh import Mesh
@@ -140,3 +153,42 @@ class TestTorusSimulation:
         sim = simulate(torus, result)
         assert sim.makespan >= max(sim.congestion, sim.dilation)
         assert np.all(sim.delivery_times <= sim.makespan)
+
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "simulation_hashes.json"
+CASES = dict(simulation_golden_cases())
+#: online cells re-run on a two-process pool: statistics must not move
+SHARDED_KEYS = (
+    "online|8x8|fifo|dynamic2|admit|seed=0",
+    "online|8x8|random|static5|none|seed=0",
+)
+
+
+def load_goldens() -> dict[str, str]:
+    assert GOLDEN_PATH.exists(), (
+        f"golden file missing: {GOLDEN_PATH} — run "
+        "tests/golden/regenerate_simulation_goldens.py"
+    )
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+class TestGoldenMatrix:
+    def test_goldens_cover_the_matrix(self):
+        assert set(load_goldens()) == set(CASES), (
+            "golden matrix out of sync with simulation_golden_cases() — run "
+            "tests/golden/regenerate_simulation_goldens.py"
+        )
+        assert len(CASES) == 60
+
+    @pytest.mark.parametrize("key", sorted(CASES), ids=lambda k: k.replace("|", ","))
+    def test_golden_cell(self, key):
+        assert result_hash(CASES[key]()) == load_goldens()[key], (
+            f"simulator output changed for {key}: a stored seed now replays "
+            "a different schedule (regenerate_simulation_goldens.py --force "
+            "if intentional)"
+        )
+
+    @pytest.mark.parametrize("key", SHARDED_KEYS, ids=lambda k: k.replace("|", ","))
+    def test_online_cell_is_worker_invariant(self, key):
+        sharded = dict(simulation_golden_cases(workers=2))[key]
+        assert result_hash(sharded()) == load_goldens()[key]
