@@ -27,7 +27,7 @@ import time
 
 from common import main_print
 
-from repro import cache, kernels
+from repro import cache
 from repro.core.path_selection import HierarchicalRouter
 from repro.mesh.mesh import Mesh
 from repro.workloads.generators import random_pairs
@@ -66,7 +66,6 @@ def run_experiment(
         rows.append(
             {
                 "workers": w,
-                "backend": kernels.backend(),
                 "wall_s": round(wall, 3),
                 "speedup": round(base_time / wall, 2),
                 "sha256[:12]": digest[:12],
@@ -75,7 +74,6 @@ def run_experiment(
     rows.append(
         {
             "workers": f"(host: {os.cpu_count()} cpu)",
-            "backend": "",
             "wall_s": "",
             "speedup": "",
             "sha256[:12]": "identical" if len({r["sha256[:12]"] for r in rows}) == 1 else "DIVERGED",

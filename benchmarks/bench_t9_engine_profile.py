@@ -192,7 +192,7 @@ def run_metrics_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Kernels A/B: route per backend, plus the decycle stage vs the seed-era
+# Kernels A/B: one route, plus the decycle stage vs the seed-era
 # per-path Python loop (kept verbatim — real history, not a strawman).
 # ---------------------------------------------------------------------------
 
@@ -257,7 +257,7 @@ def run_kernels_experiment(
     wall = _time(lambda: kernels.decycle_paths(nodes, offsets))
     rows.append(
         {
-            "run": "decycle stage [vectorised kernel]",
+            "run": "decycle stage [packed-key row sort + one pointer chase]",
             "wall_s": round(wall, 4),
             "pkts/s": int(packets / wall),
         }

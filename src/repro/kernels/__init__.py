@@ -20,22 +20,35 @@ erasure has an equivalent **last-exit** characterisation::
 
 (when ``w[0]`` is seen again the stack rewinds to position 0, so only the
 walk *after its last visit* survives; no later rewind can cross below it
-because ``w[0]`` never reappears).  The last-exit form vectorises: one
-bucketed row-sort pass precomputes, for every position, the position of
-its node's last occurrence within the path, and a lockstep pointer-chase
-over all cyclic paths at once emits the erased nodes — O(total) work,
-no per-path Python.
+because ``w[0]`` never reappears).  The last-exit form vectorises in two
+steps: a table of next pointers, then one lockstep pointer chase.
 
-The row-sort pass groups paths of equal length ``L`` into a dense
-``(k, L)`` matrix and sorts each row by the key ``value * L + position``
-(node ids times a path length stay far inside int64).  Every node value
-becomes one contiguous run, in position order, whose last column holds
-the value's last original position.  A *run-end fill* finds that column
-for every sorted column at once: mark column ``i`` with ``i`` where the
-run ends there and with ``L`` where the next value is equal, take a
-running minimum over the reversed columns, and gather the sorted
-positions at the result.  That is a fixed number of numpy calls per
-bucket, whatever ``L`` and the mesh size.
+*Next pointers.*  ``nxt[g]`` is the stream position just after the last
+occurrence of ``nodes[g]`` in its path.  Paths are grouped into length
+classes, walked from the longest length down; adjacent lengths merge
+until a class holds ``MIN_CLASS_ROWS`` rows, so a small batch costs a
+class or two rather than one per distinct length.  Each class is a dense
+``(k, L)`` matrix, and a shorter row's padding slot ``c`` holds
+``min(ids, 0) - 1 - c``: distinct and below every node id, so padding
+never joins a run of real values.  Each row is sorted by the packed key
+``(value << b) | column`` with ``b = (L - 1).bit_length()``, in ``int32``
+when the id range allows and ``int64`` otherwise.  Every value becomes
+one run of ascending keys.  Because keys ascend along a sorted row, the
+nearest run end at or after a column holds the smallest run-end key
+there: a running minimum over the reversed row, with every other column
+set to the dtype's maximum, hands each column its run's end key, whose
+low ``b`` bits are the value's last column.  The result is scattered
+straight to the stream positions; padding goes to a sink slot.
+
+*One chase.*  Starting from every cyclic path's first position, the
+chase marks the position kept and follows ``nxt``, all paths in
+lockstep.  A chaser that runs past its path's end walks on through the
+next path's kept positions, and at the next compaction, every
+``CHASE_COMPACT`` rounds, it stands on a position already kept and is
+dropped.  The kept positions give the output nodes, and a
+``searchsorted`` of them against the input offsets gives the output
+offsets.  No per-path Python loop runs, and the work is O(total) plus a
+sort of each row.
 
 Examples
 --------
@@ -90,66 +103,130 @@ def assemble_paths(
     through its repeated step values.
     """
     total = int(total)
-    steps = np.repeat(values, counts)
-    buf = np.zeros(total, dtype=np.int64)
+    # Built in place: the assembly temporaries set a route's peak memory.
+    nodes = np.zeros(total, dtype=np.int64)
     mask = np.ones(total, dtype=bool)
     mask[starts] = False
-    buf[mask] = steps
+    nodes[mask] = np.repeat(values, counts)
     # Segmented integration: global cumsum, then re-anchor each segment to
     # its source node.
-    nodes = np.cumsum(buf)
+    np.cumsum(nodes, out=nodes)
     nodes -= np.repeat(nodes[starts] - flat_s, lens)
     return nodes
 
 
-def _last_occurrence(nodes, offsets, lens, starts):
-    """Per-position last occurrence of the position's node within its path.
+#: a merged length class grows until it holds at least this many rows
+MIN_CLASS_ROWS = 32
+#: pointer-chase rounds between compactions of the active set
+CHASE_COMPACT = 8
 
-    Returns ``(jump, has_dup)``: ``jump[g]`` is the *path-local* index of
-    the last occurrence of ``nodes[g]``'s value inside its own path, and
-    ``has_dup[p]`` whether path ``p`` contains any revisited node.
-    Computed per length-bucket so each bucket is a dense ``(k, L)`` matrix
-    sorted row-wise — many small-row sorts beat one global sort of the
-    whole node stream — followed by the run-end fill described in the
-    module docstring.
+
+def _length_classes(lens, min_rows=1):
+    """Group path indices into length classes, longest first.
+
+    Yields ``(L, rows)``: ``rows`` indexes paths of length at most ``L``,
+    and at least one of them has length exactly ``L``.  Distinct lengths
+    are walked from the longest down, and adjacent lengths merge into one
+    class until it holds ``min_rows`` rows (the shortest class may hold
+    fewer).  ``min_rows=1`` gives one class per distinct length.
     """
-    N = offsets.size - 1
-    jump = np.empty(nodes.size, dtype=np.int64)
-    has_dup = np.zeros(N, dtype=bool)
     order = np.argsort(lens, kind="stable")
     sizes = lens[order]
-    bounds = np.flatnonzero(sizes[1:] != sizes[:-1]) + 1
-    group_starts = np.concatenate(([0], bounds))
-    group_ends = np.concatenate((bounds, [sizes.size]))
-    for gs, ge in zip(group_starts.tolist(), group_ends.tolist()):
-        L = int(sizes[gs])
-        rows = order[gs:ge]
-        if L == 0:
-            continue
-        if L == 1:
-            jump[starts[rows]] = 0
-            continue
-        cols = np.arange(L, dtype=np.int64)
-        idx = starts[rows][:, None] + cols
-        # One key per (value, position) pair: keys are unique, so a plain
-        # row sort orders by value and, within a value, by position.
-        key = nodes[idx] * L + cols
+    edges = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()]
+    end = sizes.size
+    for i in range(len(edges) - 1, -1, -1):
+        start = edges[i]
+        if end - start >= min_rows or i == 0:
+            yield int(sizes[end - 1]), order[start:end]
+            end = start
+
+
+def _next_pointers(nodes, lens, starts):
+    """``(nxt, has_dup)``: the chase's pointer table (module docstring).
+
+    ``nxt[g]`` is the stream position after the last occurrence of
+    ``nodes[g]`` in its path, and ``has_dup[p]`` whether path ``p``
+    revisits a node.  ``nxt`` has one extra slot, ``total``, which
+    receives the padding's writes.
+    """
+    total = nodes.size
+    longest = int(lens.max())
+    b = max(longest - 1, 1).bit_length()
+    # Padding slot c of a class holds ``pad0 - c``: distinct, and below
+    # every node id, so padding never joins a run of real values.
+    pad0 = min(int(nodes.min()), 0) - 1
+    lo, hi = pad0 - longest, int(nodes.max())
+    narrow = (
+        total < 2**31 - 1
+        and lo << b >= -(2**31)
+        and (hi << b) | ((1 << b) - 1) < 2**31
+    )
+    kdt = np.int32 if narrow else np.int64
+    kmax = np.iinfo(kdt).max
+    values = nodes.astype(kdt, copy=False)
+    nxt = np.empty(total + 1, dtype=np.int32 if total < 2**31 - 1 else np.int64)
+    has_dup = np.zeros(lens.size, dtype=bool)
+    for L, rows in _length_classes(lens, MIN_CLASS_ROWS):
+        rl = lens[rows]
+        bits = (L - 1).bit_length()
+        mask = (1 << bits) - 1
+        cols = np.arange(L, dtype=kdt)
+        rs = starts[rows]
+        idx = rs[:, None] + cols
+        padded = int(rl[0]) != L  # rows ascend by length
+        if padded:
+            np.minimum(idx, total - 1, out=idx)
+            key = values[idx]
+            np.copyto(key, (pad0 - cols).astype(kdt), where=cols >= rl[:, None])
+        else:
+            key = values[idx]
+        # One key per (value, column): a plain row sort orders by value
+        # and, within a value, by column.
+        key <<= bits
+        key |= cols
         key.sort(axis=1)
-        sm, srt = np.divmod(key, L)
-        same = sm[:, 1:] == sm[:, :-1]  # sorted col i == col i+1
+        np.bitwise_and(key, mask, out=idx)  # sorted column -> original column
+        sv = key >> bits
+        same = sv[:, 1:] == sv[:, :-1]
         has_dup[rows] = same.any(axis=1)
-        # Run-end fill: endcol[:, i] becomes the last sorted column of
-        # column i's value-run, which holds the value's last position.
-        endcol = np.empty_like(srt)
-        endcol[:, :-1] = np.where(same, L, cols[:-1])
-        endcol[:, -1] = L - 1
-        rev = endcol[:, ::-1]
+        # Run-end fill: within a row the keys ascend, so the nearest run
+        # end at or after a column holds the smallest run-end key there,
+        # and its low bits are the value's last column.
+        np.copyto(key[:, :-1], kmax, where=same)
+        rev = key[:, ::-1]
         np.minimum.accumulate(rev, axis=1, out=rev)
-        lastpos = np.take_along_axis(srt, endcol, axis=1)
-        local = np.empty_like(srt)
-        np.put_along_axis(local, srt, lastpos, axis=1)
-        jump[idx] = local
-    return jump, has_dup
+        key &= mask
+        key += (rs + 1)[:, None].astype(kdt)
+        idx += rs[:, None]
+        if padded:
+            np.copyto(idx, total, where=idx >= (rs + rl)[:, None])
+        nxt[idx] = key
+    return nxt, has_dup
+
+
+def _kept_positions(nodes, lens, starts):
+    """``(kept, changed)``: the stream positions loop erasure keeps.
+
+    ``changed`` counts the cyclic paths; when it is 0, ``kept`` is None.
+    """
+    total = nodes.size
+    nxt, has_dup = _next_pointers(nodes, lens, starts)
+    changed = int(np.count_nonzero(has_dup))
+    if changed == 0:
+        return None, 0
+    nxt[total] = total  # the sink loops on itself
+    # One lockstep chase from every cyclic path's start marks the kept
+    # positions.  A chaser that runs past its path's end walks on through
+    # the next path's kept positions (or parks in the sink); it is dropped
+    # at the next compaction, where it stands on a position already kept.
+    kept = np.repeat(np.append(~has_dup, True), np.append(lens, 1))
+    cur = starts[has_dup]
+    while cur.size:
+        for _ in range(CHASE_COMPACT):
+            kept[cur] = True
+            cur = nxt[cur].astype(np.intp)
+        cur = cur[~kept[cur]]
+    return kept[:total], changed
 
 
 def decycle_paths(
@@ -161,59 +238,19 @@ def decycle_paths(
     paths that contained a revisited node.  When ``changed == 0`` the
     input arrays themselves are returned.  Per path the result equals
     :func:`repro.mesh.paths.remove_cycles` exactly — the scalar oracle
-    :func:`repro.verify.oracles.oracle_remove_cycles` referees it.
+    :func:`repro.verify.oracles.oracle_remove_cycles` referees it.  The
+    output arrays are ``int64``; node ids shifted left by the bit length
+    of the longest path must fit in ``int64``.
     """
-    N = offsets.size - 1
-    if N == 0 or nodes.size == 0:
+    if offsets.size == 1 or nodes.size == 0:
         return nodes, offsets, 0
-    lens = np.diff(offsets)
-    starts = offsets[:-1]
-    jump, has_dup = _last_occurrence(nodes, offsets, lens, starts)
-    ndup = int(np.count_nonzero(has_dup))
-    if ndup == 0:
+    # The pointer table is freed before the output is built (peak memory).
+    kept, changed = _kept_positions(nodes, np.diff(offsets), offsets[:-1])
+    if changed == 0:
         return nodes, offsets, 0
-    dup_idx = np.flatnonzero(has_dup)
-
-    # Phase 1: erased length of every cyclic path (lockstep pointer chase;
-    # iteration t keeps only the paths still emitting at position t).
-    new_lens = lens.copy()
-    act = dup_idx
-    pos = np.zeros(act.size, dtype=np.int64)
-    emitted = 1
-    while True:
-        j = jump[starts[act] + pos]
-        done = j == lens[act] - 1
-        new_lens[act[done]] = emitted
-        keep = ~done
-        if not keep.any():
-            break
-        act = act[keep]
-        pos = j[keep] + 1
-        emitted += 1
-
-    new_offsets = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(new_lens, out=new_offsets[1:])
-    out = np.empty(int(new_offsets[-1]), dtype=np.int64)
-
-    # Acyclic paths copy over verbatim in one masked move.
-    clean = ~has_dup
-    if clean.any():
-        out[np.repeat(clean, new_lens)] = nodes[np.repeat(clean, lens)]
-
-    # Phase 2: re-chase the cyclic paths, writing erased nodes in place.
-    act = dup_idx
-    pos = np.zeros(act.size, dtype=np.int64)
-    base = new_offsets[:-1]
-    t = 0
-    while act.size:
-        g = starts[act] + pos
-        out[base[act] + t] = nodes[g]
-        j = jump[g]
-        keep = j != lens[act] - 1
-        act = act[keep]
-        pos = j[keep] + 1
-        t += 1
-    return out, new_offsets, ndup
+    pos = np.flatnonzero(kept)
+    out = nodes[pos].astype(np.int64, copy=False)
+    return out, np.searchsorted(pos, offsets).astype(np.int64, copy=False), changed
 
 
 def bfs_parents(
@@ -301,24 +338,16 @@ def node_loads_csr(nodes: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray
     """Per-node visiting-path counts over a CSR collection.
 
     A path visiting a node several times counts once for that node.  Paths
-    are bucketed by length; one row-wise sort dedupes each bucket.
+    are grouped by exact length; one row-wise sort dedupes each group.
     """
     n = int(n)
     counts = np.zeros(n, dtype=np.int64)
     if nodes.size == 0:
         return counts
-    npp = np.diff(offsets)
     starts = offsets[:-1]
-    order = np.argsort(npp, kind="stable")
-    sizes = npp[order]
-    bounds = np.flatnonzero(sizes[1:] != sizes[:-1]) + 1
-    group_starts = np.concatenate(([0], bounds))
-    group_ends = np.concatenate((bounds, [sizes.size]))
-    for gs, ge in zip(group_starts.tolist(), group_ends.tolist()):
-        length = int(sizes[gs])
+    for length, rows in _length_classes(np.diff(offsets)):
         if length == 0:
             continue
-        rows = order[gs:ge]
         idx = starts[rows][:, None] + np.arange(length, dtype=np.int64)
         mat = np.sort(nodes[idx], axis=1)
         first = np.empty(mat.shape, dtype=bool)

@@ -164,6 +164,12 @@ class RoutingService:
 
     def _teardown(self) -> None:
         if self._sock is not None:
+            # close() alone does not wake the thread blocked in accept(),
+            # which would hold the join below for its whole timeout.
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - platforms without it
+                pass
             try:
                 self._sock.close()
             except OSError:  # pragma: no cover

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -16,8 +18,35 @@ settings.register_profile("derandomized", derandomize=True)
 settings.register_profile("thorough", max_examples=400)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
+from repro.core.shm import active_segments
 from repro.mesh.mesh import Mesh
 from repro.mesh.submesh import Submesh
+
+#: seconds a module's exiting children and unlinks get to finish
+LEAK_GRACE_S = 5.0
+
+
+def _leftovers(segments, children):
+    leaked = sorted(set(active_segments()) - segments)
+    # active_children() also reaps children that have already exited
+    live = sorted(p.pid for p in multiprocessing.active_children() if p.pid not in children)
+    return leaked, live
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaks_per_module():
+    """Fail a test module that leaves ``repro-*`` shm segments or live
+    child processes behind (anything present before the module is ignored)."""
+    segments = set(active_segments())
+    children = {p.pid for p in multiprocessing.active_children()}
+    yield
+    deadline = time.monotonic() + LEAK_GRACE_S
+    leaked, live = _leftovers(segments, children)
+    while (leaked or live) and time.monotonic() < deadline:
+        time.sleep(0.05)
+        leaked, live = _leftovers(segments, children)
+    if leaked or live:
+        pytest.fail(f"module leaked shm segments {leaked} and child processes {live}")
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
@@ -46,7 +46,15 @@ def _case_assemble(rng):
 
 
 def _case_decycle(rng):
-    return _csr_collection(rng)
+    # Empty paths, lengths with one row or two (merged padded classes)
+    # and ids shifted negative or past the narrow key range.
+    lens = np.concatenate(([0, 0], rng.integers(0, 91, size=58)))
+    rng.shuffle(lens)
+    offsets = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    nodes = rng.integers(0, 12, size=int(offsets[-1])).astype(np.int64)
+    nodes += rng.choice([-6, 2**40, -(2**40)])
+    return nodes, offsets
 
 
 def _case_bfs(rng):
@@ -158,7 +166,7 @@ def _check_decycle(raw_paths):
 
 
 @settings(max_examples=60)
-@given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=25),
+@given(st.lists(st.lists(st.integers(0, 9), min_size=0, max_size=25),
                 min_size=1, max_size=8))
 def test_decycle_matches_scalar_and_oracle(raw_paths):
     _check_decycle(raw_paths)
@@ -183,6 +191,46 @@ def test_decycle_large_mixed_length_batch():
     paths = [rng.integers(0, 2 + i % 2, size=int(n)).tolist() for i, n in enumerate(lens)]
     paths += [list(range(200)), [5]]  # acyclic rows ride in the same batch
     rng.shuffle(paths)
+    _check_decycle(paths)
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(st.tuples(st.integers(0, 80), st.integers(1, 3)), min_size=12, max_size=40),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_decycle_merged_length_classes(length_counts, alphabet, seed):
+    # Most lengths hold one to three rows, so the kernel pads rows of
+    # several lengths into one class; ids start at 0, next to the padding.
+    lens = [n for n, count in length_counts for _ in range(count)]
+    classes = kernels._length_classes(np.asarray(lens), kernels.MIN_CLASS_ROWS)
+    assume(any(len(set(np.asarray(lens)[rows].tolist())) > 2 for _, rows in classes))
+    rng = np.random.default_rng(seed)
+    _check_decycle([rng.integers(0, alphabet, size=n).tolist() for n in lens])
+
+
+@pytest.mark.parametrize("shift", [2**40 - 7, -(2**40), -8])
+def test_decycle_wide_and_negative_ids(shift):
+    # Ids near +-2**40 overflow a 32-bit packed key.  Ids in [-8, 0) sit
+    # where a -(col + 1) padding would put its values, and the short rows
+    # land in padded classes.
+    rng = np.random.default_rng(abs(shift) % 1000)
+    lens = np.concatenate((
+        rng.integers(0, 60, size=50), rng.integers(0, 8, size=40), np.full(40, 17),
+    ))
+    paths = [(rng.integers(0, 8, size=n) + shift).tolist() for n in lens]
+    paths.append([shift, shift + 1, shift])
+    _check_decycle(paths)
+
+
+def test_decycle_empty_and_single_rows_beside_cyclic_rows():
+    # 40 empty and 20 one-node rows share one padded class, and each
+    # empty row shares its start with the cyclic row after it.
+    cyclic = [1, 2, 1, 3] + list(range(4, 17))
+    paths = []
+    for i in range(40):
+        paths += [[], cyclic] + ([[i % 3]] if i % 2 else [])
     _check_decycle(paths)
 
 
