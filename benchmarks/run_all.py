@@ -15,12 +15,18 @@ Usage:  python benchmarks/run_all.py [--quick | --smoke] [--json PATH]
 document (``{"mode": ..., "experiments": {title: rows}}``) — CI uploads
 the smoke-tier file as a build artifact so regressions can be diffed
 without re-running anything.
+
+One failing experiment does not hide the rest: every experiment runs,
+each failure is printed with its title and exception, the JSON (which
+omits the failed titles) is still written, and the run then exits
+non-zero naming every failed title.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import traceback
 
 from common import print_experiment
 
@@ -224,17 +230,31 @@ EXPERIMENTS = [
 ]
 
 
-def main(mode: str = "full", json_path: str | None = None) -> None:
+def main(mode: str = "full", json_path: str | None = None) -> int:
+    """Run every experiment; return 1 if any of them raised, else 0."""
     results: dict[str, list] = {}
+    failed: list[str] = []
     for title, run, quick_kwargs, smoke_kwargs in EXPERIMENTS:
         kwargs = {"quick": quick_kwargs, "smoke": smoke_kwargs}.get(mode, {})
-        rows = run(**kwargs)
+        try:
+            rows = run(**kwargs)
+        except Exception as exc:
+            failed.append(title)
+            traceback.print_exc()
+            print(f"\nFAILED {title}: {type(exc).__name__}: {exc}", flush=True)
+            continue
         results[title] = [dict(r) for r in rows]
         print_experiment(title, rows)
     if json_path is not None:
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump({"mode": mode, "experiments": results}, fh, indent=2, default=str)
         print(f"results written to {json_path}")
+    if failed:
+        print(f"{len(failed)} experiment(s) failed:", file=sys.stderr)
+        for title in failed:
+            print(f"  {title}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
@@ -247,8 +267,9 @@ if __name__ == "__main__":
         except IndexError:
             raise SystemExit("--json requires a path argument")
     if "--smoke" in argv:
-        main("smoke", json_path)
+        mode = "smoke"
     elif "--quick" in argv:
-        main("quick", json_path)
+        mode = "quick"
     else:
-        main("full", json_path)
+        mode = "full"
+    raise SystemExit(main(mode, json_path))

@@ -90,6 +90,21 @@ def build_workload(name: str, mesh: Mesh, seed: int):
     raise argparse.ArgumentTypeError(f"unknown workload {name!r}")
 
 
+def _parse_rates(text: str) -> list[float]:
+    """``--rates`` values: comma-separated finite, non-negative floats."""
+    try:
+        rates = [float(r) for r in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
+    if not all(0 <= r < float("inf") for r in rates):
+        raise argparse.ArgumentTypeError(
+            f"rates must be finite and non-negative, got {text!r}"
+        )
+    return rates
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mesh", default="16x16", help="e.g. 16x16, 8x8x8, 16^2")
     p.add_argument("--torus", action="store_true", help="wrap-around links")
@@ -262,8 +277,9 @@ def _cmd_online(args) -> int:
     router = make_router(args.router)
     from repro.simulation.online import latency_vs_load
 
-    rates = [float(r) for r in args.rates.split(",")]
-    rows = latency_vs_load(router, mesh, rates, steps=args.steps, seed=args.seed)
+    if any(r > 1 for r in args.rates):
+        args.error("argument --rates: Bernoulli injection rates must be in [0, 1]")
+    rows = latency_vs_load(router, mesh, args.rates, steps=args.steps, seed=args.seed)
     print(format_table(rows, title=f"online: {router.name} on {mesh!r}"))
     return 0
 
@@ -288,16 +304,20 @@ def _build_traffic(args, mesh, rate: float):
 
 
 def _build_admission(args):
-    if not (args.admit_rate or args.max_backlog or args.max_wait):
+    flags = (args.admit_rate, args.admit_burst, args.max_backlog, args.max_wait)
+    if all(flag is None for flag in flags):
         return None
     from repro.simulation.admission import AdmissionParams
 
-    return AdmissionParams(
-        rate_limit=args.admit_rate,
-        burst=args.admit_burst,
-        max_backlog=args.max_backlog,
-        max_wait=args.max_wait,
-    )
+    try:
+        return AdmissionParams(
+            rate_limit=args.admit_rate,
+            burst=args.admit_burst,
+            max_backlog=args.max_backlog,
+            max_wait=args.max_wait,
+        )
+    except ValueError as exc:
+        args.error(str(exc))
 
 
 def _cmd_traffic(args) -> int:
@@ -315,11 +335,10 @@ def _cmd_traffic(args) -> int:
             faults = FaultModel.static(mesh, p=args.fault_p, seed=args.fault_seed)
         else:
             faults = FaultModel.dynamic(mesh, p=args.fault_p, seed=args.fault_seed)
-    rates = [float(r) for r in args.rates.split(",")]
     rows = capacity_curve(
         router,
         mesh,
-        rates,
+        args.rates,
         steps=args.steps,
         seed=args.seed,
         traffic_factory=lambda rate: _build_traffic(args, mesh, rate),
@@ -652,10 +671,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", default="16x16")
     p.add_argument("--torus", action="store_true")
     p.add_argument("--router", default="hierarchical", choices=available_routers())
-    p.add_argument("--rates", default="0.01,0.05,0.1")
+    p.add_argument("--rates", type=_parse_rates, default="0.01,0.05,0.1")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_online)
+    p.set_defaults(func=_cmd_online, error=p.error)
 
     p = sub.add_parser(
         "traffic",
@@ -674,6 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rates",
+        type=_parse_rates,
         default="0.05,0.1,0.2",
         help="offered per-node loads, one capacity-curve row each",
     )
@@ -694,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adv-router", default="dim-order", choices=available_routers(),
                    help="router the adversarial replay is mined against")
     p.add_argument("--adv-l", type=int, default=4)
-    p.set_defaults(func=_cmd_traffic)
+    p.set_defaults(func=_cmd_traffic, error=p.error)
 
     return parser
 

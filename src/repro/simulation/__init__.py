@@ -6,7 +6,12 @@ packet traverses any edge per time step, so any schedule needs at least
 motivates judging path selection by congestion *and* dilation together.
 :func:`~repro.simulation.scheduler.simulate` schedules selected paths
 greedily under several contention policies and reports the makespan, which
-experiments compare against ``C + D``.
+experiments compare against ``C + D``;
+:func:`~repro.simulation.online.simulate_online` injects packets over time
+and reports latency.  Both drive one step core
+(:class:`repro.simulation._step.StepCore`): in-network packets move one
+edge per step, contention goes to the highest priority, faults block,
+back off, reroute or drop, and admission control meters entry.
 """
 
 from repro.simulation.scheduler import SimulationResult, simulate

@@ -90,10 +90,10 @@ class AdmissionState:
     """Per-run mutable admission machinery (deterministic, RNG-free).
 
     Holds the FIFO ingress queue of packet indices, the token bucket
-    level and the policy counters.  Both simulators drive it the same
-    way: :meth:`push` newly-born packets, then once per step
-    :meth:`step_admit` returns which packets enter the network and which
-    are shed.
+    level and the policy counters.  The simulators' shared step core
+    (:class:`repro.simulation._step.StepCore`) drives it: :meth:`push`
+    newly-born packets, then once per step :meth:`step_admit` returns
+    which packets enter the network and which are shed.
     """
 
     def __init__(self, params: AdmissionParams):

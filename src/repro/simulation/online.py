@@ -13,17 +13,17 @@ and a router with low stretch keeps latency near the distance at light
 load.  The hierarchical router is the only one good on both ends — the
 online restatement of the paper's contribution.
 
-Fault injection
----------------
-Pass ``faults=`` a :class:`~repro.faults.model.FaultModel` and the run
-becomes fault-aware end to end: paths are selected through a
+The synchronous step — admission, fault ladder, contention — is the step
+core shared with :func:`~repro.simulation.scheduler.simulate`
+(:mod:`repro.simulation._step`); this module adds arrivals, path
+selection and the online statistics (latency, distance, queue, backlog,
+SLO).
+
+With ``faults=`` selection goes through a
 :class:`~repro.faults.router.FaultAwareRouter` against the mask at the
-injection step (resample with fresh bits, greedy detour as a last
-resort), in-flight packets blocked on a dead edge wait with exponential
-backoff and re-select their path from their current node after
-``max_retries`` blocked attempts, and packets that become unreachable
-under a non-repairing model are dropped.  A trivial model (``p = 0``)
-runs the fault-free code path: byte-identical statistics.
+injection step, and a packet blocked in flight re-selects its path from
+its current node with fresh bits.  A trivial model (``p = 0``) runs the
+fault-free code path: byte-identical statistics.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.mesh.mesh import Mesh
 from repro.routing.base import Router
+from repro.simulation._step import StepCore
 
 __all__ = ["OnlineStats", "simulate_online", "latency_vs_load"]
 
@@ -136,8 +137,8 @@ def simulate_online(
     Parameters
     ----------
     rate:
-        Per-node per-step Bernoulli injection probability (the classic
-        synthetic load).  Mutually exclusive with ``traffic``.
+        Per-node per-step Bernoulli injection probability in ``[0, 1]``
+        (the classic synthetic load).  Mutually exclusive with ``traffic``.
     traffic:
         A :class:`~repro.workloads.traffic.TrafficProcess`: arrivals for
         birth step ``b`` come from ``traffic.arrivals_at(mesh, b - 1,
@@ -193,8 +194,8 @@ def simulate_online(
        sees network state, so this phase is order-free by construction —
        the very property the paper attributes to oblivious algorithms in
        online settings (Section 1);
-    3. **advance** (serial) — the synchronous scheduler replays injections
-       by birth step and moves packets; scheduler tie-breaks and
+    3. **advance** (serial) — the shared step core enters packets at
+       their birth step and moves them; scheduler tie-breaks and
        mid-flight reroutes draw from their own streams.
 
     The router must be oblivious: paths depend only on ``(seed, packet,
@@ -226,6 +227,10 @@ def simulate_online(
         raise ValueError(f"unknown policy {policy!r}")
     if (rate is None) == (traffic is None):
         raise ValueError("pass exactly one of rate= or traffic=")
+    if rate is not None and not 0 <= rate <= 1:
+        raise ValueError(f"rate is a Bernoulli probability in [0, 1], got {rate!r}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps!r}")
     from contextlib import nullcontext
 
     def stage(name):
@@ -240,11 +245,8 @@ def simulate_online(
         else:
             wrapper = FaultAwareRouter(router, faults)
         wrapper.profiler = profiler
-        select = wrapper.select_path
         selecting_router: Router = wrapper
-        endpoints = mesh.edge_endpoints
     else:
-        select = router.select_path
         selecting_router = router
 
     entropy = resolve_entropy(seed)
@@ -263,36 +265,22 @@ def simulate_online(
             # b - 1, so the injected stream is exactly rows [0, steps) of
             # ``traffic.stream(mesh, steps, seed)`` — chunk-invariant and
             # regenerable in isolation (the golden-hash contract).
-            srcs_l: list[np.ndarray] = []
-            dsts_l: list[np.ndarray] = []
-            borns_l: list[np.ndarray] = []
-            for birth in range(1, steps + 1):
-                t_src, t_dst = traffic.arrivals_at(mesh, birth - 1, entropy)
-                srcs_l.append(t_src)
-                dsts_l.append(t_dst)
-                borns_l.append(np.full(t_src.size, birth, dtype=np.int64))
-            pkt_src = (
-                np.concatenate(srcs_l) if srcs_l else np.empty(0, np.int64)
-            )
-            pkt_dst = (
-                np.concatenate(dsts_l) if dsts_l else np.empty(0, np.int64)
-            )
-            pkt_born = (
-                np.concatenate(borns_l) if borns_l else np.empty(0, np.int64)
-            )
+            def arrivals(birth: int) -> tuple[np.ndarray, np.ndarray]:
+                return traffic.arrivals_at(mesh, birth - 1, entropy)
+
         else:
-            src_l: list[int] = []
-            dst_l: list[int] = []
-            born_l: list[int] = []
-            for birth in range(1, steps + 1):
-                arrivals = np.nonzero(arrival_rng.random(mesh.n) < rate)[0]
-                for src in arrivals.tolist():
-                    src_l.append(int(src))
-                    dst_l.append(dest_fn(mesh, int(src), arrival_rng))
-                    born_l.append(birth)
-            pkt_src = np.asarray(src_l, dtype=np.int64)
-            pkt_dst = np.asarray(dst_l, dtype=np.int64)
-            pkt_born = np.asarray(born_l, dtype=np.int64)
+
+            def arrivals(birth: int) -> tuple[np.ndarray, np.ndarray]:
+                src = np.flatnonzero(arrival_rng.random(mesh.n) < rate)
+                dst = [dest_fn(mesh, int(v), arrival_rng) for v in src.tolist()]
+                return src, np.asarray(dst, dtype=np.int64)
+
+        rows = [arrivals(birth) for birth in range(1, steps + 1)]
+        pkt_src = np.concatenate([src for src, _ in rows] + [_empty_i64()])
+        pkt_dst = np.concatenate([dst for _, dst in rows] + [_empty_i64()])
+        pkt_born = np.repeat(
+            np.arange(1, steps + 1, dtype=np.int64), [src.size for src, _ in rows]
+        )
     total_packets = pkt_src.size
 
     # ------------------------------------------------------------------
@@ -328,11 +316,6 @@ def simulate_online(
             shard_results = pool.map(select_online_paths, tasks)
         finally:
             pool.shutdown()
-    status = (
-        np.concatenate([r.status for r in shard_results])
-        if shard_results
-        else np.empty(0, dtype=np.int8)
-    )
     for r in shard_results:
         if r.profile is not None and profiler is not None:
             profiler.merge_snapshot(r.profile)
@@ -341,58 +324,62 @@ def simulate_online(
 
             _cache.absorb_worker_stats(r.cache_stats)
         for attr, delta in r.counters.items():
-            setattr(
-                selecting_router,
-                attr,
-                getattr(selecting_router, attr, 0) + delta,
-            )
+            setattr(selecting_router, attr, getattr(selecting_router, attr, 0) + delta)
+    # scheduled packets (PKT_OK only): their edge ids back to back
+    if shard_results:
+        status = np.concatenate([r.status for r in shard_results])
+        eids = np.concatenate([r.eids for r in shard_results])
+        nedges_a = np.concatenate([r.nedges for r in shard_results])
+    else:
+        status = np.empty(0, dtype=np.int8)
+        eids = nedges_a = _empty_i64()
 
     dropped_n = int(np.count_nonzero(status == PKT_DROP))
     injected = int(np.count_nonzero(status == PKT_OK)) + dropped_n
     if dropped_n and profiler is not None:
         profiler.count("faults.dropped", dropped_n)
-
-    # Scheduled packets (PKT_OK only), packet-major CSR of edge ids.  The
-    # buffer stays growable: mid-flight reroutes append fresh suffixes.
     ok = status == PKT_OK
-    nedges_a = (
-        np.concatenate([r.nedges for r in shard_results])
-        if shard_results
-        else np.empty(0, dtype=np.int64)
-    )
-    eids_used = int(nedges_a.sum())
-    eids = np.empty(max(eids_used, 1024), dtype=np.int64)
-    filled = 0
-    for r in shard_results:
-        eids[filled : filled + r.eids.size] = r.eids
-        filled += int(r.eids.size)
-    starts_a = np.zeros(nedges_a.size, dtype=np.int64)
-    np.cumsum(nedges_a[:-1], out=starts_a[1:])
     born_a = pkt_born[ok]
-    dist_a = (
-        np.asarray(mesh.distance(pkt_src[ok], pkt_dst[ok]), dtype=np.int64).reshape(-1)
-        if born_a.size
-        else np.empty(0, dtype=np.int64)
-    )
-    num_ok = born_a.size
-    pos = np.zeros(num_ok, dtype=np.int64)
-    if faulty:
-        cur_a = pkt_src[ok].copy()
-        dests_a = pkt_dst[ok].copy()
-        retries = np.zeros(num_ok, dtype=np.int64)
-        next_try = np.zeros(num_ok, dtype=np.int64)
-        reroute_idx = 0  # global mid-flight reroute counter (its own streams)
+    dist_a = np.asarray(mesh.distance(pkt_src[ok], pkt_dst[ok]), dtype=np.int64)
 
-    active = np.empty(0, dtype=np.int64)  # indices into the packet arrays
-    next_birth = 0  # packets [0, next_birth) have been activated
+    reroute_idx = 0  # global mid-flight reroute counter (its own streams)
+
+    def reroute(cur: int, dest: int, step: int, _alive) -> np.ndarray | None:
+        # re-select from the current node with fresh bits from the next
+        # reroute stream — keyed by a global reroute counter, separate
+        # from the per-packet selection streams
+        nonlocal reroute_idx
+        pkt_rng = packet_stream(entropy, reroute_idx, prefix=(SIM_REROUTE,))
+        reroute_idx += 1
+        wrapper.at_step = step
+        try:
+            return wrapper.select_path(mesh, cur, dest, pkt_rng)
+        except FaultRoutingError:
+            return None
+
+    # fifo's priority is the packet index: packets enter in index order
+    # and birth steps never decrease with the index, so index order and
+    # birth order pick the same winners
+    core = StepCore(
+        mesh,
+        eids,
+        nedges_a,
+        policy=policy,
+        rng=sched_rng,
+        faults=faults if faulty else None,
+        reroute=reroute,
+        cur=pkt_src[ok],
+        dests=pkt_dst[ok],
+        max_retries=max_retries,
+        backoff_cap=backoff_cap,
+        profiler=profiler,
+        admission=admission,
+    )
+    # packets born at step b are [births[b - 1], births[b])
+    births = np.searchsorted(born_a, np.arange(steps + 1), side="right")
     done_latency: list[int] = []
     done_distance: list[int] = []
 
-    adm = None
-    if admission is not None:
-        from repro.simulation.admission import AdmissionState
-
-        adm = AdmissionState(admission)
     slo_stats = None
     if slo is not None:
         from repro.simulation.slo import SLOStats
@@ -401,7 +388,6 @@ def simulate_online(
 
     max_queue = 0
     peak_backlog = 0
-    reroutes = blocked_steps = 0
     if drain_steps is None:
         drain_steps = 8 * steps + 200
     total_steps = steps + drain_steps
@@ -409,151 +395,47 @@ def simulate_online(
     delivered_during_injection = 0
 
     # ------------------------------------------------------------------
-    # Phase 3 (serial): synchronous advance — activate packets at their
-    # birth step, resolve contention, move winners one edge per step.
+    # Phase 3 (serial): synchronous advance — packets enter at their
+    # birth step (through admission, if any) and the step core moves
+    # contention winners one edge per step.
     # ------------------------------------------------------------------
     for step in range(1, total_steps + 1):
         injecting = step <= steps
-        if injecting and next_birth < num_ok:
-            hi = int(np.searchsorted(born_a, step, side="right"))
-            if hi > next_birth:
-                fresh = np.arange(next_birth, hi, dtype=np.int64)
-                next_birth = hi
-                if adm is None:
-                    active = np.concatenate((active, fresh))
-                else:
-                    adm.push(fresh)
-        if adm is not None:
-            admitted, shed = adm.step_admit(step, int(active.size), born_a)
-            if shed:
-                # shed before entering the network: injected but never
-                # scheduled — the admission analogue of a fault drop
-                for i in shed:
-                    pos[i] = nedges_a[i]  # mark consumed, never active
-            if admitted:
-                active = np.concatenate(
-                    (active, np.asarray(admitted, dtype=np.int64))
-                )
+        if injecting and births[step] > births[step - 1]:
+            core.enter(np.arange(births[step - 1], births[step], dtype=np.int64))
+        core.admit(step, born_a)
         # backlog = packets *inside* the network: the pressure backpressure
         # caps.  Ingress-queue depth is reported separately (``admission.
         # delayed_steps`` / ``admission_delayed_steps``) — at fixed
         # arrivals, total unserved work is conserved, so folding the
         # ingress queue in here would make the cap invisible.
-        backlog = int(active.size)
+        backlog = int(core.active.size)
         peak_backlog = max(peak_backlog, backlog)
         if slo_stats is not None:
             slo_stats.record_backlog(backlog)
-        if active.size == 0:
-            if not injecting and (adm is None or len(adm) == 0):
+        if backlog == 0:
+            if not injecting and not core.queued:
                 break
             continue
         with stage("online.advance"):
-            if faulty:
-                alive_mask = faults.edge_alive(step)
-                wrapper.at_step = step
-                ready = active[next_try[active] <= step]
-                if ready.size == 0:
-                    continue
-                edges = eids[starts_a[ready] + pos[ready]]
-                blocked = ~alive_mask[edges]
-                if np.any(blocked):
-                    bidx = ready[blocked]
-                    retries[bidx] += 1
-                    blocked_steps += int(bidx.size)
-                    if profiler is not None:
-                        profiler.count("faults.blocked_steps", int(bidx.size))
-                    next_try[bidx] = step + (
-                        1 << np.minimum(retries[bidx] - 1, backoff_cap)
-                    )
-                    drop: list[int] = []
-                    for i in bidx[retries[bidx] >= max_retries].tolist():
-                        # re-select from the current node with fresh bits
-                        # from the next reroute stream — keyed by a global
-                        # reroute counter, separate from the per-packet
-                        # selection streams
-                        pkt_rng = packet_stream(
-                            entropy, reroute_idx, prefix=(SIM_REROUTE,)
-                        )
-                        reroute_idx += 1
-                        try:
-                            new_path = select(
-                                mesh, int(cur_a[i]), int(dests_a[i]), pkt_rng
-                            )
-                        except FaultRoutingError:
-                            if not faults.repairs:
-                                drop.append(i)
-                            else:
-                                retries[i] = 0
-                            continue
-                        seq = mesh.edge_ids(new_path[:-1], new_path[1:])
-                        if eids_used + seq.size > eids.size:
-                            grown = np.empty(
-                                max(eids_used + seq.size, 2 * eids.size),
-                                dtype=np.int64,
-                            )
-                            grown[:eids_used] = eids[:eids_used]
-                            eids = grown
-                        eids[eids_used : eids_used + seq.size] = seq
-                        # repoint packet i's slice at the fresh suffix
-                        starts_a[i] = eids_used - int(pos[i])
-                        nedges_a[i] = int(pos[i]) + seq.size
-                        eids_used += seq.size
-                        retries[i] = 0
-                        next_try[i] = step + 1
-                        reroutes += 1
-                        if profiler is not None:
-                            profiler.count("faults.reroutes", 1)
-                    if drop:
-                        dropped_n += len(drop)
-                        if profiler is not None:
-                            profiler.count("faults.dropped", len(drop))
-                        active = active[~np.isin(active, np.asarray(drop))]
-                    ready = ready[~blocked]
-                    if ready.size == 0:
-                        continue
-                    edges = edges[~blocked]
-                sched = ready
-            else:
-                sched = active
-                # every active packet's next edge, in one gather
-                edges = eids[starts_a[sched] + pos[sched]]
+            moved = core.advance(step)
+            if moved is None:
+                continue
+            edges, finished = moved
             # queue sizes: packets waiting per next-edge tail (proxy: per edge)
             max_queue = max(max_queue, int(np.bincount(edges).max()))
-            # contention resolution
-            if policy == "fifo":
-                prio = born_a[sched]
-            else:
-                prio = sched_rng.permutation(sched.size)
-            order = np.lexsort((prio, edges))
-            sorted_edges = edges[order]
-            first = np.ones(sorted_edges.size, dtype=bool)
-            first[1:] = sorted_edges[1:] != sorted_edges[:-1]
-            winners = sched[order[first]]
-            if faulty:
-                wedges = eids[starts_a[winners] + pos[winners]]
-                cur_a[winners] = endpoints[wedges].sum(axis=1) - cur_a[winners]
-                retries[winners] = 0
-            pos[winners] += 1
-            finished = winners[pos[winners] == nedges_a[winners]]
             if finished.size:
                 done_latency.extend((step - born_a[finished] + 1).tolist())
                 done_distance.extend(dist_a[finished].tolist())
                 if injecting:
                     delivered_during_injection += int(finished.size)
-                active = active[pos[active] < nedges_a[active]]
 
-    if faulty:
-        resamples, detours = wrapper.resamples, wrapper.detours
-    else:
-        resamples = detours = 0
-    admission_dropped = adm.dropped if adm is not None else 0
-    admission_delayed = adm.delayed_steps if adm is not None else 0
+    resamples, detours = (wrapper.resamples, wrapper.detours) if faulty else (0, 0)
+    dropped_n += core.dropped
+    admission_dropped, admission_delayed = core.admission_totals()
     if profiler is not None:
         profiler.count("online.injected", injected)
         profiler.count("online.delivered", len(done_latency))
-        if adm is not None:
-            for name, value in adm.counters().items():
-                profiler.count(name, value)
     lat = np.asarray(done_latency, dtype=np.int64)
     if profiler is not None and lat.size:
         # exact-merge latency distribution (bin width 1 step): the same
@@ -579,8 +461,8 @@ def simulate_online(
         latencies=lat,
         distances=np.asarray(done_distance, dtype=np.int64),
         dropped=dropped_n,
-        reroutes=reroutes,
-        blocked_steps=blocked_steps,
+        reroutes=core.reroutes,
+        blocked_steps=core.blocked_steps,
         resamples=resamples,
         detours=detours,
         admission_dropped=admission_dropped,

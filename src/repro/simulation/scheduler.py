@@ -1,8 +1,8 @@
 """Greedy synchronous store-and-forward scheduling of fixed paths.
 
-Packets follow their pre-selected paths; per time step every edge carries
-at most one packet (the paper's model), and contention is resolved by a
-priority policy:
+Every packet is born at step 0 on its pre-selected path; per time step
+every edge carries at most one packet (the paper's model), and contention
+is resolved by a priority policy:
 
 * ``"farthest-first"`` — most remaining hops wins (the classic policy
   behind near-``O(C + D)`` schedules on meshes);
@@ -13,25 +13,20 @@ priority policy:
   behind the ``O(C + D)``-style schedules the paper's ``C + D`` metric
   anticipates (delays decorrelate packets sharing edges).
 
-The whole step is vectorised: paths are viewed as a
-:class:`~repro.core.pathset.PathSet` whose flat edge-id stream is computed
-once up front; each step gathers every active packet's next edge with one
-fancy index, then requests are (edge, priority) pairs sorted with
-``np.lexsort`` and winners are the first request per edge.
+The step itself — gate, fault ladder, one sort for contention —
+is the step core shared with the online simulator
+(:mod:`repro.simulation._step`); this module only records delivery times
+over the flat edge-id stream of a :class:`~repro.core.pathset.PathSet`.
 
 The makespan of *any* schedule is at least ``max(C, D) >= (C + D) / 2``,
 so ``makespan / (C + D)`` in ``[0.5, ~1+]`` certifies the selected paths
 are routable in near-optimal time.
 
-Fault injection
----------------
-Pass ``faults=`` a :class:`~repro.faults.model.FaultModel` and packets
-whose next edge is dead *wait* with exponential backoff, then *reroute*
-from their current node over the alive subgraph after ``max_retries``
-blocked attempts; packets whose destination became unreachable under a
-non-repairing model are dropped (``delivery_times[i] == -1``).  A trivial
-model (``p = 0``) is a strict no-op: the fault-free code path runs and
-results are byte-identical.
+With ``faults=`` a blocked packet backs off, then reroutes over the
+shortest alive path from its current node; a packet whose destination is
+unreachable under a non-repairing model is dropped (``delivery_times[i]
+== -1``).  A trivial model (``p = 0``) is a strict no-op: the fault-free
+code path runs and results are byte-identical.
 """
 
 from __future__ import annotations
@@ -42,8 +37,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.pathset import PathSet
+from repro.faults.router import shortest_alive_path
 from repro.mesh.mesh import Mesh
+from repro.metrics.congestion import congestion
 from repro.routing.base import RoutingResult
+from repro.simulation._step import StepCore
 
 __all__ = ["simulate", "SimulationResult"]
 
@@ -145,15 +143,9 @@ def simulate(
     rng = np.random.default_rng(seed)
 
     num = len(pathset)
-    # The flat edge-id stream: packet i's remaining edges are
-    # eids[estarts[i] + pos[i] : estarts[i] + lengths[i]].
-    eids = pathset.edge_ids(mesh)
-    estarts = pathset.edge_offsets[:-1]
     lengths = pathset.lengths
 
-    from repro.metrics.congestion import congestion as _congestion
-
-    cong = _congestion(mesh, pathset)
+    cong = congestion(mesh, pathset)
     dil = int(lengths.max()) if num else 0
     if max_steps is None:
         max_steps = 8 * (cong + dil) + 64
@@ -169,131 +161,45 @@ def simulate(
                 waves = int(np.ceil(num / admission.max_backlog))
                 max_steps += waves * (cong + dil + 1)
 
-    pos = np.zeros(num, dtype=np.int64)
-    delivery = np.zeros(num, dtype=np.int64)
-    active = lengths > 0
-    adm = None
-    released = None
-    if admission is not None:
-        from repro.simulation.admission import AdmissionState
-
-        adm = AdmissionState(admission)
-        adm.push(np.nonzero(active)[0])  # FIFO by packet index
-        released = np.zeros(num, dtype=bool)
-    step = 0
-    packet_ids = np.arange(num, dtype=np.int64)
-    delays = (
-        rng.integers(0, cong + 1, size=num)
-        if policy == "random-delay"
-        else np.zeros(num, dtype=np.int64)
+    cur = dests = None
+    if faulty:  # a path may have no nodes: look up ends only when needed
+        cur = pathset.nodes[pathset.offsets[:-1]]
+        dests = pathset.nodes[pathset.offsets[1:] - 1]
+    core = StepCore(
+        mesh,
+        pathset.edge_ids(mesh),
+        lengths,
+        policy=policy,
+        rng=rng,
+        not_before=(
+            rng.integers(0, cong + 1, size=num) if policy == "random-delay" else None
+        ),
+        faults=faults if faulty else None,
+        reroute=lambda s, t, _step, alive: shortest_alive_path(mesh, s, t, alive),
+        cur=cur,
+        dests=dests,
+        max_retries=max_retries,
+        backoff_cap=backoff_cap,
+        profiler=profiler,
+        admission=admission,
     )
-    retries_total = rerouted = dropped_n = 0
-    if faulty:
-        from repro.faults.router import shortest_alive_path
-
-        # Rerouting mutates the per-packet slices, so the shared CSR views
-        # become private writable state; detours append to the edge stream.
-        eids = eids.copy()
-        estarts = estarts.copy()
-        lengths = lengths.copy()
-        ends = pathset.offsets[1:] - 1
-        cur = pathset.nodes[pathset.offsets[:-1]].copy()
-        dests = pathset.nodes[ends]
-        retries = np.zeros(num, dtype=np.int64)
-        next_try = np.zeros(num, dtype=np.int64)
-        endpoints = mesh.edge_endpoints
-    while np.any(active):
+    # -1 until delivered: dropped, shed and straggling packets keep it
+    delivery = np.where(lengths > 0, -1, 0).astype(np.int64)
+    core.enter(np.flatnonzero(lengths > 0))
+    step = 0
+    while core.active.size or core.queued:
         if step >= max_steps:
-            if faulty or adm is not None:
-                # stragglers are undelivered, not a scheduling bug
-                delivery[active] = -1
-                break
+            if faulty or admission is not None:
+                break  # stragglers are undelivered, not a scheduling bug
             raise RuntimeError(
                 f"schedule exceeded {max_steps} steps (C={cong}, D={dil})"
             )
-        if adm is not None:
-            admitted, shed = adm.step_admit(step, int((active & released).sum()))
-            if admitted:
-                released[np.asarray(admitted, dtype=np.int64)] = True
-            if shed:
-                shed_a = np.asarray(shed, dtype=np.int64)
-                active[shed_a] = False
-                delivery[shed_a] = -1
-        eligible = active & (delays <= step)
-        if adm is not None:
-            eligible &= released
-        if faulty:
-            eligible &= next_try <= step
-        if not np.any(eligible):
-            step += 1
-            continue
-        idx = packet_ids[eligible]
-        edges = eids[estarts[idx] + pos[idx]]
-        if faulty:
-            alive = faults.edge_alive(step)
-            blocked = ~alive[edges]
-            if np.any(blocked):
-                bidx = idx[blocked]
-                retries[bidx] += 1
-                retries_total += int(bidx.size)
-                if profiler is not None:
-                    profiler.count("faults.blocked_steps", int(bidx.size))
-                # exponential backoff before the next attempt
-                next_try[bidx] = step + (
-                    1 << np.minimum(retries[bidx] - 1, backoff_cap)
-                )
-                for i in bidx[retries[bidx] >= max_retries].tolist():
-                    detour = shortest_alive_path(mesh, int(cur[i]), int(dests[i]), alive)
-                    if detour is not None and detour.size > 1:
-                        seq = mesh.edge_ids(detour[:-1], detour[1:])
-                        at = eids.size
-                        eids = np.concatenate((eids, seq))
-                        estarts[i] = at - pos[i]
-                        lengths[i] = pos[i] + seq.size
-                        retries[i] = 0
-                        next_try[i] = step + 1
-                        rerouted += 1
-                        if profiler is not None:
-                            profiler.count("faults.reroutes", 1)
-                    elif not faults.repairs:
-                        # statically unreachable: give up on the packet
-                        active[i] = False
-                        delivery[i] = -1
-                        dropped_n += 1
-                        if profiler is not None:
-                            profiler.count("faults.dropped", 1)
-                    else:
-                        # the fault process repairs; wait out the backoff
-                        retries[i] = 0
-                idx = idx[~blocked]
-                if idx.size == 0:
-                    step += 1
-                    continue
-                edges = edges[~blocked]
-        if policy == "farthest-first":
-            prio = -(lengths[idx] - pos[idx])
-        elif policy in ("fifo", "random-delay"):
-            prio = idx
-        else:
-            prio = rng.permutation(idx.size)
-        order = np.lexsort((prio, edges))
-        sorted_edges = edges[order]
-        first = np.ones(sorted_edges.size, dtype=bool)
-        first[1:] = sorted_edges[1:] != sorted_edges[:-1]
-        winners = idx[order][first]
-        if faulty:
-            wedges = eids[estarts[winners] + pos[winners]]
-            cur[winners] = endpoints[wedges].sum(axis=1) - cur[winners]
-            retries[winners] = 0
-        pos[winners] += 1
+        core.admit(step)
+        moved = core.advance(step)
         step += 1
-        arrived = winners[pos[winners] == lengths[winners]]
-        delivery[arrived] = step
-        active[arrived] = False
-    undelivered = int((delivery < 0).sum())
-    if adm is not None and profiler is not None:
-        for name, value in adm.counters().items():
-            profiler.count(name, value)
+        if moved is not None:
+            delivery[moved[1]] = step
+    admission_dropped, admission_delayed = core.admission_totals()
     return SimulationResult(
         makespan=step,
         delivery_times=delivery,
@@ -301,10 +207,10 @@ def simulate(
         dilation=dil,
         policy=policy,
         num_packets=num,
-        delivered=num - undelivered,
-        retries_total=retries_total,
-        rerouted=rerouted,
-        dropped=dropped_n,
-        admission_dropped=adm.dropped if adm is not None else 0,
-        admission_delayed_steps=adm.delayed_steps if adm is not None else 0,
+        delivered=int((delivery >= 0).sum()),
+        retries_total=core.blocked_steps,
+        rerouted=core.reroutes,
+        dropped=core.dropped,
+        admission_dropped=admission_dropped,
+        admission_delayed_steps=admission_delayed,
     )

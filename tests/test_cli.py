@@ -105,6 +105,57 @@ class TestCommands:
             main([])
 
 
+def _usage_error(argv, capsys) -> str:
+    """Run ``argv``; assert an argparse exit (status 2, no traceback)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+TRAFFIC = ["traffic", "--mesh", "4x4", "--steps", "4", "--rates", "0.05"]
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("command", ["online", "traffic"])
+    @pytest.mark.parametrize("rates", ["abc", "0.1,,0.2", "nan", "inf", "0.1,-0.1"])
+    def test_malformed_rates(self, command, rates, capsys):
+        err = _usage_error([command, "--mesh", "4x4", "--rates", rates], capsys)
+        assert f"repro {command}: error: argument --rates" in err
+
+    def test_online_rates_are_probabilities(self, capsys):
+        err = _usage_error(["online", "--mesh", "4x4", "--rates", "0.1,1.5"], capsys)
+        assert "repro online: error:" in err and "[0, 1]" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-wait", "0"], "max_wait"),
+            (["--max-backlog", "0"], "max_backlog"),
+            (["--admit-rate", "0"], "rate_limit"),
+            (["--admit-burst", "3"], "no-op"),
+            (["--admit-rate", "2", "--admit-burst", "0"], "burst"),
+        ],
+    )
+    def test_invalid_admission_flags(self, flags, message, capsys):
+        # zero used to read as "flag not given": the run went ahead
+        # without admission and without an error
+        err = _usage_error(TRAFFIC + flags, capsys)
+        assert "repro traffic: error:" in err and message in err
+
+    def test_valid_admission_flags_enable_admission(self, capsys):
+        assert main(TRAFFIC + ["--max-wait", "1"]) == 0
+        assert "+admission" in capsys.readouterr().out
+
+    def test_rates_parse_into_rows(self, capsys):
+        assert main(["online", "--mesh", "4x4", "--rates", "0,0.05",
+                     "--steps", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "0.05" in out
+
+
 class TestVisualize:
     def test_node_heatmap_shape(self):
         mesh = Mesh((4, 4))

@@ -60,6 +60,24 @@ class TestSimulateOnline:
                 HierarchicalRouter(), mesh, rate=0.01, steps=10, policy="nope"
             )
 
+    @pytest.mark.parametrize("rate", [float("nan"), -0.01, 1.5, float("inf")])
+    def test_rejects_rate_outside_unit_interval(self, mesh, rate):
+        # nan used to inject nothing and 1.5 to behave as 1, both silently
+        with pytest.raises(ValueError, match="rate"):
+            simulate_online(HierarchicalRouter(), mesh, rate=rate, steps=10)
+
+    def test_rejects_negative_steps(self, mesh):
+        with pytest.raises(ValueError, match="steps"):
+            simulate_online(HierarchicalRouter(), mesh, rate=0.01, steps=-1)
+
+    def test_unit_rate_bounds_run(self, mesh):
+        assert simulate_online(
+            HierarchicalRouter(), mesh, rate=1.0, steps=2, seed=0
+        ).injected == 2 * mesh.n
+        assert simulate_online(
+            HierarchicalRouter(), mesh, rate=0.01, steps=0, seed=0
+        ).injected == 0
+
     def test_random_policy_runs(self, mesh):
         stats = simulate_online(
             HierarchicalRouter(), mesh, rate=0.02, steps=50, seed=4, policy="random"
