@@ -34,7 +34,11 @@ from repro.analysis.reporting import format_table
 from repro.analysis.visualize import draw_path, edge_load_heatmap
 from repro.core.decomposition import Decomposition
 from repro.mesh.mesh import Mesh
-from repro.routing.registry import available_routers, make_router
+from repro.routing.registry import (
+    available_routers,
+    make_router,
+    oblivious_routers,
+)
 
 __all__ = ["main", "parse_mesh", "build_workload"]
 
@@ -538,6 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Oblivious path selection on the mesh (Busch et al., IPPS 2005)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the commands that run the online simulator, which needs oblivious paths
+    online_routers = oblivious_routers()
 
     p = sub.add_parser("route", help="route one workload, print metrics")
     _add_common(p)
@@ -605,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--router", default="hierarchical", choices=available_routers())
     p.add_argument("--policy", default="farthest-first",
-                   choices=("farthest-first", "fifo", "random"))
+                   choices=("farthest-first", "fifo", "random", "random-delay"))
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
@@ -629,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("faults", help="fault injection: delivery under failures")
     p.add_argument("--mesh", default="16x16")
     p.add_argument("--torus", action="store_true")
-    p.add_argument("--router", default="hierarchical", choices=available_routers())
+    p.add_argument("--router", default="hierarchical", choices=online_routers)
     p.add_argument("--mode", default="static", choices=("static", "blocks", "dynamic"))
     p.add_argument("--p", type=float, default=0.01,
                    help="link failure probability (static: once; dynamic: per step)")
@@ -670,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("online", help="dynamic arrivals: latency vs load")
     p.add_argument("--mesh", default="16x16")
     p.add_argument("--torus", action="store_true")
-    p.add_argument("--router", default="hierarchical", choices=available_routers())
+    p.add_argument("--router", default="hierarchical", choices=online_routers)
     p.add_argument("--rates", type=_parse_rates, default="0.01,0.05,0.1")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -682,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mesh", default="16x16")
     p.add_argument("--torus", action="store_true")
-    p.add_argument("--router", default="hierarchical", choices=available_routers())
+    p.add_argument("--router", default="hierarchical", choices=online_routers)
     from repro.workloads.traffic import TRAFFIC as _TRAFFIC
 
     p.add_argument(

@@ -6,7 +6,7 @@ from typing import Callable
 
 from repro.routing.base import Router
 
-__all__ = ["available_routers", "make_router"]
+__all__ = ["available_routers", "make_router", "oblivious_routers"]
 
 
 def _factories() -> dict[str, Callable[..., Router]]:
@@ -44,6 +44,14 @@ def _factories() -> dict[str, Callable[..., Router]]:
 def available_routers() -> list[str]:
     """Names accepted by :func:`make_router`."""
     return sorted(_factories())
+
+
+def oblivious_routers() -> list[str]:
+    """The names in :func:`available_routers` whose router is oblivious,
+    which are the ones the online simulator accepts."""
+    return sorted(
+        name for name, factory in _factories().items() if factory().is_oblivious
+    )
 
 
 def make_router(name: str, **kwargs) -> Router:

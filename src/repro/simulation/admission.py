@@ -23,6 +23,7 @@ Instrumentation lands on ``admission.*`` profiler counters
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -61,10 +62,18 @@ class AdmissionParams:
     max_wait: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_limit is not None and self.rate_limit <= 0:
-            raise ValueError("rate_limit must be positive (or None)")
-        if self.burst is not None and self.burst < 1:
-            raise ValueError("burst must be >= 1 (or None for the default)")
+        # ``nan <= 0`` is false: test finiteness first, or NaN passes as
+        # a rate and the bucket never throttles
+        if self.rate_limit is not None and not (
+            math.isfinite(self.rate_limit) and self.rate_limit > 0
+        ):
+            raise ValueError("rate_limit must be finite and positive (or None)")
+        if self.burst is not None and not (
+            math.isfinite(self.burst) and self.burst >= 1
+        ):
+            raise ValueError(
+                "burst must be finite and >= 1 (or None for the default)"
+            )
         if self.max_backlog is not None and self.max_backlog < 1:
             raise ValueError("max_backlog must be >= 1 (or None)")
         if self.max_wait is not None and self.max_wait < 1:

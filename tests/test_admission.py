@@ -38,6 +38,10 @@ class TestAdmissionParams:
             {"rate_limit": 0.0},
             {"rate_limit": -1.0},
             {"rate_limit": 2.0, "burst": 0.5},
+            {"rate_limit": float("nan")},
+            {"rate_limit": float("inf")},
+            {"rate_limit": 2.0, "burst": float("nan")},
+            {"rate_limit": 2.0, "burst": float("inf")},
             {"max_backlog": 0},
             {"max_wait": 0},
         ],

@@ -88,6 +88,11 @@ class TestCommands:
         assert main(["simulate", "--mesh", "8x8", "--policy", "fifo"]) == 0
         assert "makespan=" in capsys.readouterr().out
 
+    def test_simulate_random_delay(self, capsys):
+        assert main(["simulate", "--mesh", "4x4", "--policy", "random-delay"]) == 0
+        out = capsys.readouterr().out
+        assert "makespan=" in out and "random-delay" in out
+
     def test_online(self, capsys):
         assert main(["online", "--mesh", "8x8", "--rates", "0.02",
                      "--steps", "40"]) == 0
@@ -137,13 +142,29 @@ class TestArgumentErrors:
             (["--admit-rate", "0"], "rate_limit"),
             (["--admit-burst", "3"], "no-op"),
             (["--admit-rate", "2", "--admit-burst", "0"], "burst"),
+            (["--admit-rate", "nan"], "rate_limit"),
+            (["--admit-rate", "inf"], "rate_limit"),
+            (["--admit-rate", "2", "--admit-burst", "nan"], "burst"),
         ],
     )
     def test_invalid_admission_flags(self, flags, message, capsys):
-        # zero used to read as "flag not given": the run went ahead
-        # without admission and without an error
+        # zero used to read as "flag not given", and NaN compared false
+        # against every bound: both ran without admission or an error
         err = _usage_error(TRAFFIC + flags, capsys)
         assert "repro traffic: error:" in err and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["online", "--mesh", "4x4"],
+            TRAFFIC,
+            ["faults", "--mesh", "4x4", "--steps", "4"],
+        ],
+    )
+    def test_online_commands_refuse_non_oblivious_routers(self, argv, capsys):
+        # the online simulator rejects them: offering one ended in a traceback
+        err = _usage_error(argv + ["--router", "greedy-offline"], capsys)
+        assert "argument --router: invalid choice: 'greedy-offline'" in err
 
     def test_valid_admission_flags_enable_admission(self, capsys):
         assert main(TRAFFIC + ["--max-wait", "1"]) == 0

@@ -4,16 +4,22 @@
   distance (one hop per step, no teleporting);
 * conservation — every injected packet is exactly one of delivered,
   dropped, or still in flight when the run ends;
-* determinism — a fixed seed reproduces the run bit-for-bit.
+* determinism — a fixed seed reproduces the run bit-for-bit;
+* contention — the step core's per-edge minimum-key winner pick agrees
+  with a lexicographic sort on (edge, priority) that takes the first
+  request per edge.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.path_selection import HierarchicalRouter
 from repro.faults import FaultModel
 from repro.mesh.mesh import Mesh
 from repro.routing.baselines import ValiantRouter
+from repro.simulation._step import StepCore
 from repro.simulation.online import simulate_online
 from repro.simulation.scheduler import simulate
 from repro.workloads.generators import random_pairs
@@ -132,6 +138,81 @@ class TestOnlineInvariants:
         s = simulate_online(ValiantRouter(), mesh, rate=0.05, steps=30, seed=2)
         assert (s.latencies >= s.distances).all()
         assert s.delivered == s.injected
+
+
+@st.composite
+def _contention_steps(draw):
+    """One step's requests: few edges, many packets per edge, and few
+    distinct remaining-hop counts so ``farthest-first`` ties often."""
+    num = draw(st.integers(1, 60))
+    num_edges = draw(st.integers(1, 6))
+    return (
+        draw(st.sampled_from(OFFLINE_POLICIES)),
+        draw(st.lists(st.integers(0, num_edges - 1), min_size=num, max_size=num)),
+        draw(st.lists(st.integers(0, 3), min_size=num, max_size=num)),  # done
+        draw(st.lists(st.integers(1, 3), min_size=num, max_size=num)),  # left
+        draw(st.lists(st.integers(0, 2), min_size=num, max_size=num)),  # delay
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _lexsort_winners(ready, edges, prio):
+    """The reference pick: sort on (edge, priority), first request per edge."""
+    order = np.lexsort((prio, edges))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = edges[order][1:] != edges[order][:-1]
+    return ready[order[first]]
+
+
+class TestContentionDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_contention_steps())
+    def test_winners_match_lexsort_reference(self, case):
+        policy, wanted, done, left, delay, seed = case
+        mesh = Mesh((4, 4))
+        done, left = np.array(done), np.array(left)
+        nedges = done + left
+        starts = np.cumsum(nedges) - nedges
+        eids = np.random.default_rng(seed).integers(0, mesh.num_edges, nedges.sum())
+        eids[starts + done] = wanted  # each packet's requested edge
+        not_before = np.array(delay) if policy == "random-delay" else None
+        core = StepCore(
+            mesh, eids, nedges, policy=policy, rng=np.random.default_rng(seed),
+            not_before=not_before, faults=None, reroute=None, cur=None,
+            dests=None, max_retries=0, backoff_cap=0, profiler=None,
+            admission=None,
+        )
+        core.at += done
+        core.enter(np.arange(nedges.size))
+        step = 1
+        moved = core.advance(step)
+
+        ready = np.arange(nedges.size)
+        if not_before is not None:
+            ready = ready[not_before <= step]
+        if ready.size == 0:
+            assert moved is None
+            return
+        edges = eids[starts[ready] + done[ready]]
+        if policy == "farthest-first":
+            prio = -left[ready]
+        elif policy == "random":
+            prio = np.random.default_rng(seed).permutation(ready.size)
+        else:
+            prio = ready
+        winners = _lexsort_winners(ready, edges, prio)
+        finished = winners[left[winners] == 1]
+
+        requested, got_finished = moved
+        np.testing.assert_array_equal(requested, edges)
+        np.testing.assert_array_equal(got_finished, finished)  # same order
+        advanced = np.flatnonzero(core.at != starts + done)
+        np.testing.assert_array_equal(advanced, np.sort(winners))
+        np.testing.assert_array_equal(core.at[winners], (starts + done + 1)[winners])
+        np.testing.assert_array_equal(
+            core.active, np.setdiff1d(np.arange(nedges.size), finished)
+        )
+        assert (core.best == np.iinfo(np.int64).max).all()  # clean for next step
 
 
 # ---------------------------------------------------------------------------
