@@ -56,7 +56,12 @@ WORKLOAD_CHOICES = (
 
 
 def parse_mesh(spec: str, torus: bool = False) -> Mesh:
-    """Parse ``"16x16"``, ``"8x8x8"`` or ``"16^2"`` into a mesh."""
+    """Parse ``"16x16"``, ``"8x8x8"`` or ``"16^2"`` into a mesh.
+
+    Any malformed spec — unparsable, or sides :class:`Mesh` rejects —
+    raises :class:`argparse.ArgumentTypeError`, which :func:`main` turns
+    into a usage error.
+    """
     spec = spec.strip().lower()
     try:
         if "^" in spec:
@@ -64,9 +69,9 @@ def parse_mesh(spec: str, torus: bool = False) -> Mesh:
             sides = (int(side),) * int(d)
         else:
             sides = tuple(int(p) for p in spec.split("x"))
+        return Mesh(sides, torus=torus)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad mesh spec {spec!r}") from exc
-    return Mesh(sides, torus=torus)
+        raise argparse.ArgumentTypeError(f"bad mesh spec {spec!r}: {exc}") from exc
 
 
 def build_workload(name: str, mesh: Mesh, seed: int):
@@ -228,7 +233,7 @@ def _cmd_serve(args) -> int:
     signal.signal(signal.SIGTERM, lambda *_: service.stop())
     service.start()
     print(
-        f"repro service: {service.pool.workers} warm worker(s) on "
+        f"repro service: {service.workers} warm worker(s) on "
         f"{args.socket} (pid {__import__('os').getpid()})",
         flush=True,
     )
@@ -292,9 +297,12 @@ def _build_traffic(args, mesh, rate: float):
     from repro.workloads import traffic as tr
 
     if args.traffic == "adversarial":
-        return tr.adversarial_replay(
-            mesh, args.adv_router, l=args.adv_l, rate=rate
-        )
+        try:
+            return tr.adversarial_replay(
+                mesh, args.adv_router, l=args.adv_l, rate=rate
+            )
+        except ValueError as exc:
+            args.error(str(exc))
     kwargs: dict = {}
     if args.traffic in ("poisson", "hotspot", "shifting-hotspot"):
         kwargs["rate"] = rate
@@ -680,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", type=_parse_rates, default="0.01,0.05,0.1")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_online, error=p.error)
+    p.set_defaults(func=_cmd_online)
 
     p = sub.add_parser(
         "traffic",
@@ -720,14 +728,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adv-router", default="dim-order", choices=available_routers(),
                    help="router the adversarial replay is mined against")
     p.add_argument("--adv-l", type=int, default=4)
-    p.set_defaults(func=_cmd_traffic, error=p.error)
+    p.set_defaults(func=_cmd_traffic)
 
+    for p in sub.choices.values():
+        # commands report late-detected bad input as their own usage error
+        p.set_defaults(error=p.error)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentTypeError as exc:  # a malformed mesh spec
+        args.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -21,8 +21,11 @@ The ownership protocol, used everywhere in this repo:
 
 A consumer that forgets step 2 leaks kernel memory until reboot; the CI
 service-smoke leg audits :func:`active_segments` after shutdown to catch
-exactly that.  All repo-created segments carry the ``repro-`` name prefix
-so the audit never flags foreign segments.
+exactly that.  A segment whose consumer never receives it (its producer
+died, or the reply was dropped on an error path) is reclaimed by
+:func:`sweep_worker_segments` once the producer is gone.  All
+repo-created segments carry the ``repro-`` name prefix so the audit never
+flags foreign segments.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "create_segment",
     "discard",
     "handoff",
+    "sweep_worker_segments",
 ]
 
 #: every segment this repo creates is named ``repro-<pid>-<hex>`` so leak
@@ -102,3 +106,14 @@ def active_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
     if not _SHM_DIR.is_dir():  # pragma: no cover - non-Linux
         return []
     return sorted(p.name for p in _SHM_DIR.iterdir() if p.name.startswith(prefix))
+
+
+def sweep_worker_segments(pids) -> list[str]:
+    """Discard every live segment created by the given (dead) worker pids.
+
+    Segments are named ``repro-<pid>-<hex>`` precisely so this sweep can
+    target one producer without touching anything a live process may
+    still deliver.  Returns the names it removed.
+    """
+    prefixes = tuple(f"{SEGMENT_PREFIX}{int(pid)}-" for pid in pids)
+    return [n for n in active_segments() if n.startswith(prefixes) and discard(n)]

@@ -15,12 +15,15 @@ selection has no other cross-packet state to lose.
 
 Layout:
 
-* :mod:`~repro.parallel.sharding` — shard bounds and result merging;
-* :mod:`~repro.parallel.executor` — :class:`SerialExecutor` (in-process,
-  the ``workers=1`` / no-fork fallback) and the ``ProcessPoolExecutor``
-  factory;
-* :mod:`~repro.parallel.worker` — the picklable shard task/result types
-  and the top-level worker functions;
+* :mod:`~repro.parallel.sharding` — shard bounds, result merging and
+  the parent-side telemetry fold;
+* :mod:`~repro.parallel.executor` — :class:`WorkerPool`, the one
+  process pool (warm-up, crash recovery, orphan-segment sweeps) shared by
+  sharded routes, the online simulator and the routing service, and
+  :class:`SerialExecutor` (in-process, the ``workers=1`` / no-start-method
+  fallback);
+* :mod:`~repro.parallel.worker` — the picklable shard task/result types,
+  the top-level worker functions and their telemetry collection;
 * :mod:`~repro.parallel.api` — :func:`route_sharded`, the entry point
   behind ``Router.route(workers=)``.
 
@@ -30,7 +33,12 @@ their semantics.
 """
 
 from repro.parallel.api import route_sharded
-from repro.parallel.executor import SerialExecutor, make_executor, resolve_workers
+from repro.parallel.executor import (
+    SerialExecutor,
+    WorkerPool,
+    make_executor,
+    resolve_workers,
+)
 from repro.parallel.sharding import merge_shard_results, shard_bounds
 from repro.parallel.worker import ShardResult, ShardTask, route_shard
 
@@ -38,6 +46,7 @@ __all__ = [
     "SerialExecutor",
     "ShardResult",
     "ShardTask",
+    "WorkerPool",
     "make_executor",
     "merge_shard_results",
     "resolve_workers",

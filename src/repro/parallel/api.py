@@ -14,7 +14,7 @@ from contextlib import nullcontext
 
 from repro.core.randomness import resolve_entropy
 from repro.parallel.executor import make_executor, resolve_workers
-from repro.parallel.sharding import merge_shard_results, shard_bounds
+from repro.parallel.sharding import fold_telemetry, merge_shard_results, shard_bounds
 from repro.parallel.worker import ShardTask, prepare_router, route_shard
 from repro.routing.base import RoutingProblem, RoutingResult, Router
 
@@ -30,35 +30,29 @@ def route_sharded(
     packet_offset: int = 0,
     executor=None,
     budget=None,
-    context: str = "auto",
-    transport: str = "auto",
 ) -> RoutingResult:
     """Route ``problem`` in shards; byte-identical to the serial engine.
 
     Parameters mirror :meth:`Router.route`; ``executor`` optionally
     injects a pre-built executor (anything with ordered ``map`` +
     ``shutdown``) — callers routing many problems amortise pool start-up
-    by passing one in (the warm service pool does exactly this), and tests
-    sweep shard counts on the
-    :class:`~repro.parallel.executor.SerialExecutor` without process cost.
-    An executor this call created is always shut down before returning —
-    success, worker exception or merge failure alike — so a failing
-    sharded route can never leak a pool or its child processes.
+    by passing one in (the routing service passes its resident
+    :class:`~repro.parallel.executor.WorkerPool`), and tests sweep shard
+    counts on the :class:`~repro.parallel.executor.SerialExecutor`
+    without process cost.  An executor this call created is always shut
+    down before returning — success, worker exception or merge failure
+    alike — so a failing sharded route can never leak a pool, its child
+    processes or the shard segments it dropped.
 
-    ``context`` picks the start method for an owned pool (see
-    :func:`~repro.parallel.executor.make_executor`).  ``transport``
-    selects how shard CSRs come back: ``"pickle"`` ships arrays inline,
-    ``"shm"`` parks them in shared-memory segments
-    (:meth:`PathSet.to_shared`), and ``"auto"`` uses shm exactly when the
-    shards actually run in other processes.
+    Shards that run in another process return their CSR through a
+    shared-memory segment (:meth:`PathSet.to_shared`); in-process shards
+    return the arrays inline.
     """
     if not router.is_oblivious:
         raise ValueError(
             f"cannot shard non-oblivious router {router.name!r}: its paths "
             "depend on each other; route with workers=1"
         )
-    if transport not in ("auto", "pickle", "shm"):
-        raise ValueError(f"unknown transport {transport!r}")
     from repro.core.budget import BudgetParams
 
     params = BudgetParams.resolve(budget)
@@ -78,20 +72,13 @@ def route_sharded(
     payload = prepare_router(router)
     warm_keys = tuple(router.warmup_keys(problem))
     own_executor = executor is None
-    pool = (
-        make_executor(w, context=context, warm_keys=warm_keys)
-        if own_executor
-        else executor
-    )
+    pool = make_executor(w, warm_keys=warm_keys) if own_executor else executor
     try:
-        is_process_pool = bool(getattr(pool, "is_process_pool", False))
-        if not is_process_pool and profiler is not None:
+        use_shm = bool(getattr(pool, "is_process_pool", False))
+        if not use_shm and profiler is not None:
             # workers > 1 was requested but the shards run in-process —
             # either a platform degradation or an injected SerialExecutor
             profiler.count("parallel.fallback_serial", 1)
-        use_shm = transport == "shm" or (
-            transport == "auto" and is_process_pool
-        )
         bounds = shard_bounds(n, w)
         tasks = [
             ShardTask(
@@ -115,20 +102,10 @@ def route_sharded(
         # fold below cannot strand them.
         merged = merge_shard_results(problem, router.name, entropy, results)
 
-        # Fold worker telemetry back into the parent-side objects.
         if profiler is not None:
             profiler.count("parallel.shards", len(tasks))
             profiler.count("parallel.workers", w)
-            for r in results:
-                if r.profile is not None:
-                    profiler.merge_snapshot(r.profile)
-        for r in results:
-            if r.cache_stats is not None:
-                import repro.cache as cache
-
-                cache.absorb_worker_stats(r.cache_stats)
-            for attr, delta in r.counters.items():
-                setattr(router, attr, getattr(router, attr, 0) + delta)
+        fold_telemetry(results, router, profiler)
         if any(r.bits_log for r in results):
             merged_bits: list[int] = []
             for r in results:
@@ -143,8 +120,8 @@ def route_sharded(
             merged.budget = total
         return merged
     finally:
-        # Owned pools are torn down on *every* exit path: a worker
-        # exception or a failure propagating out of the merge used to
-        # leak the pool and its fork children.
+        # Owned pools are torn down on *every* exit path, and the pool's
+        # shutdown sweeps segments its workers left behind — a shard
+        # result dropped because a later shard raised included.
         if own_executor:
             pool.shutdown()

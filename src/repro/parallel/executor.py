@@ -1,4 +1,4 @@
-"""Executor selection: process pool when possible, in-process otherwise.
+"""Executors: one self-healing process pool, and the in-process fallback.
 
 The contract every executor here satisfies is tiny — ``map(fn, tasks)``
 returning results *in task order*, plus ``shutdown()`` — which keeps the
@@ -8,14 +8,20 @@ exploits that by running most shard-count sweeps on the
 :class:`SerialExecutor` (no process-spawn cost) with a thinner matrix on
 real process pools.
 
+:class:`WorkerPool` is the one process pool.  Sharded routes and the
+online simulator build one per call through :func:`make_executor`; the
+routing service keeps one for its lifetime.  Its workers warm the
+decomposition cache once at start-up (:func:`repro.parallel.worker.warm_worker`,
+so ``spawn`` workers are warm too); a worker the kernel kills is replaced
+and its tasks retried, which is byte-safe because routing is
+deterministic in ``(entropy, index, s, t)``; and the shared-memory
+segments of dead workers — replies they produced but nobody received —
+are swept on restart and at shutdown.
+
 Start methods: ``fork`` is preferred — children inherit the parent's
-imported modules and warm caches copy-on-write — but since the service
-tier must run on spawn-only platforms too, :func:`make_executor` now
-accepts an explicit ``context`` and supports ``spawn`` pools with an
-explicit worker warm-up initializer (:func:`repro.parallel.worker.warm_worker`)
-that rebuilds the decomposition cache once per worker process instead of
-once per task.  Degradation to the :class:`SerialExecutor` for
-``workers > 1`` is no longer silent: it warns once per process and the
+imported modules and warm caches copy-on-write — and ``spawn`` works
+everywhere else.  Degradation to the :class:`SerialExecutor` for
+``workers > 1`` is never silent: it warns once per process and the
 sharding layer records ``parallel.fallback_serial`` in the profiler.
 """
 
@@ -23,17 +29,26 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from typing import Callable, Iterable
+
+from repro.core.shm import sweep_worker_segments
 
 __all__ = [
+    "MAX_RETRIES",
     "SerialExecutor",
-    "fork_available",
+    "WorkerPool",
     "make_executor",
     "resolve_context",
+    "resolve_start_method",
     "resolve_workers",
 ]
+
+#: consecutive broken-pool retries :meth:`WorkerPool.map` attempts
+MAX_RETRIES = 2
 
 
 class SerialExecutor:
@@ -42,16 +57,25 @@ class SerialExecutor:
     The ``workers=1`` executor, and the last-resort fallback when the
     requested start method does not exist.  Because the sharding/merge
     math is identical, a serial run through this executor produces the
-    same bytes as any process pool.
+    same bytes as any process pool.  It speaks the :class:`WorkerPool`
+    protocol; nothing in-process crashes, so ``rebuild`` is never called,
+    and there are no workers to prewarm or list.
     """
 
     #: real process pools run shard tasks elsewhere; the serial executor
-    #: does not — callers use this to pick the pickle transport and to
+    #: does not — callers use this to pick the shard return path and to
     #: account the ``parallel.fallback_serial`` counter
     is_process_pool = False
+    worker_restarts = 0
 
-    def map(self, fn: Callable, tasks: Iterable) -> list:
+    def map(self, fn: Callable, tasks: Iterable, *, rebuild=None) -> list:  # noqa: ARG002
         return [fn(t) for t in tasks]
+
+    def prewarm(self) -> None:
+        return None
+
+    def pids(self) -> tuple[int, ...]:
+        return ()
 
     def shutdown(self, wait: bool = True) -> None:  # noqa: ARG002 - parity
         return None
@@ -63,31 +87,136 @@ class SerialExecutor:
         self.shutdown()
 
 
-class _PoolAdapter:
-    """Order-preserving ``map`` over a ``ProcessPoolExecutor``."""
+def _probe(delay: float) -> int:
+    """No-op task used only to force worker processes to start."""
+    time.sleep(delay)
+    return os.getpid()
+
+
+def _pids(pool: ProcessPoolExecutor) -> tuple[int, ...]:
+    """Worker pids of ``pool``; a broken pool still lists its dead workers."""
+    return tuple(int(p) for p in getattr(pool, "_processes", None) or {})
+
+
+def _sweep_dead(pids) -> None:
+    """Reclaim the segments of every worker in ``pids`` that no longer exists.
+
+    Called only after the pool that ran them was joined, so a dead worker
+    is gone, not a zombie; a pid found alive was reused and is skipped.
+    """
+    dead = []
+    for pid in pids:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            dead.append(pid)
+        except PermissionError:  # pragma: no cover - pid reused by another user
+            pass
+    sweep_worker_segments(dead)
+
+
+class WorkerPool:
+    """An ordered-``map`` process pool that stays warm and heals itself.
+
+    ``context`` is a concrete start method (``"fork"`` or ``"spawn"``;
+    see :func:`resolve_start_method`).  Tasks retried after a crash are
+    re-submitted *as given*; callers whose tasks embed consumed resources
+    (request shm segments) pass ``rebuild`` to :meth:`map` to regenerate
+    them per attempt.  With a ``profiler``, each rebuild counts
+    ``service.worker_restarts``.
+    """
 
     is_process_pool = True
 
-    def __init__(self, pool: ProcessPoolExecutor, context: str):
-        self.pool = pool
+    def __init__(
+        self,
+        workers: int,
+        *,
+        context: str = "fork",
+        warm_keys: tuple = (),
+        profiler=None,
+    ):
+        self.workers = max(1, int(workers))
         self.context = context
+        self.warm_keys = tuple(warm_keys)
+        self.profiler = profiler
+        self.worker_restarts = 0
+        self._lock = threading.Lock()
+        self._generation = 0
+        self.pool = self._new_pool()
 
-    def map(self, fn: Callable, tasks: Sequence) -> list:
-        return list(self.pool.map(fn, tasks))
+    def _new_pool(self) -> ProcessPoolExecutor:
+        from repro.parallel.worker import warm_worker
+
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context(self.context),
+            initializer=warm_worker,
+            initargs=(self.warm_keys,),
+        )
+
+    def pids(self) -> tuple[int, ...]:
+        """Worker pids of the current executor."""
+        return _pids(self.pool)
+
+    def prewarm(self) -> None:
+        """Start and initialise every worker before the first task.
+
+        ``ProcessPoolExecutor`` starts processes lazily; parking one brief
+        probe per worker makes it start its full complement, and each
+        process runs the warm-up initializer before its probe — so after
+        this returns, the decomposition cache is resident in every worker.
+        """
+        self.map(_probe, [0.05] * self.workers)
+
+    def map(self, fn: Callable, tasks: Iterable, *, rebuild=None) -> list:
+        """Ordered ``map`` with broken-pool recovery.
+
+        On ``BrokenExecutor`` (a worker died): rebuild the pool, sweep the
+        dead workers' orphaned segments, bump ``worker_restarts``, and
+        retry — with ``rebuild()``'s fresh tasks when given, else the same
+        tasks.  Raises after :data:`MAX_RETRIES` consecutive failures.
+        """
+        tasks = list(tasks)
+        for attempt in range(MAX_RETRIES + 1):
+            pool, generation = self.pool, self._generation
+            try:
+                return list(pool.map(fn, tasks))
+            except BrokenExecutor:
+                if attempt >= MAX_RETRIES:
+                    raise
+                self._restart(generation, _pids(pool))
+                if rebuild is not None:
+                    tasks = list(rebuild())
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    def _restart(self, generation: int, old_pids: tuple[int, ...]) -> None:
+        """Replace a broken executor exactly once per generation."""
+        with self._lock:
+            if self._generation == generation:
+                try:
+                    # wait: join the broken pool so its workers are fully
+                    # reaped before the sweep below judges them dead
+                    self.pool.shutdown(wait=True)
+                except Exception:  # pragma: no cover - already broken
+                    pass
+                self.pool = self._new_pool()
+                self._generation += 1
+                self.worker_restarts += 1
+                if self.profiler is not None:
+                    self.profiler.count("service.worker_restarts", 1)
+            # Dead workers' undelivered reply segments are orphans by
+            # construction (pid-named); reclaim them whether or not this
+            # thread performed the rebuild — either way the broken pool
+            # has been joined by now.
+            _sweep_dead(old_pids)
 
     def shutdown(self, wait: bool = True) -> None:
+        """Stop the workers; with ``wait``, sweep segments they left behind."""
+        pids = self.pids()
         self.pool.shutdown(wait=wait)
-
-    def __enter__(self) -> "_PoolAdapter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
-def fork_available() -> bool:
-    """Whether the ``fork`` start method exists (Linux/macOS CPython)."""
-    return "fork" in multiprocessing.get_all_start_methods()
+        if wait:
+            _sweep_dead(pids)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -127,54 +256,39 @@ def resolve_context(context: str = "auto") -> str:
 _warned_fallback = False
 
 
-def _warn_fallback(workers: int, context: str) -> None:
+def resolve_start_method(workers: int, context: str = "auto") -> str:
+    """:func:`resolve_context`, warning once per process on a degradation.
+
+    A requested start method that resolves to ``"serial"`` — anything but
+    an explicit ``context="serial"`` — raises a single
+    :class:`RuntimeWarning` naming ``parallel.fallback_serial``.
+    """
     global _warned_fallback
-    if _warned_fallback:
-        return
-    _warned_fallback = True
-    warnings.warn(
-        f"workers={workers} requested but start method {context!r} is "
-        "unavailable on this platform; routing serially in-process "
-        "(counted as parallel.fallback_serial)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+    resolved = resolve_context(context)
+    if resolved == "serial" and context != "serial" and not _warned_fallback:
+        _warned_fallback = True
+        warnings.warn(
+            f"workers={workers} requested but start method {context!r} is "
+            "unavailable on this platform; routing serially in-process "
+            "(counted as parallel.fallback_serial)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return resolved
 
 
-def make_executor(
-    workers: int,
-    *,
-    context: str = "auto",
-    warm_keys: tuple = (),
-    force_pool: bool = False,
-):
+def make_executor(workers: int, *, context: str = "auto", warm_keys: tuple = ()):
     """An executor for ``workers`` shard processes.
 
-    ``context`` selects the start method: ``"auto"`` (fork where it
-    exists, else spawn), ``"fork"``, ``"spawn"``, or ``"serial"``.  Spawn
-    workers do not inherit the parent's state, so pools built here install
-    :func:`repro.parallel.worker.warm_worker` as the pool initializer —
-    each worker warms the decomposition cache *once at start-up* (the
-    explicit warm-up handshake) rather than per task.  One worker gets the :class:`SerialExecutor` — unless
-    ``force_pool`` asks for a real single-process pool, which the warm
-    service does for process isolation even at ``workers=1``.  A concrete
-    ``context`` the platform lacks degrades to serial with a single
-    :class:`RuntimeWarning` per process.
+    One worker gets the :class:`SerialExecutor`; more get a
+    :class:`WorkerPool` whose workers warm the named decomposition cache
+    entries once at start-up.  ``context`` selects the start method:
+    ``"auto"`` (fork where it exists, else spawn), ``"fork"``,
+    ``"spawn"``, or ``"serial"``.  A concrete ``context`` the platform
+    lacks degrades to serial with a single :class:`RuntimeWarning` per
+    process.
     """
-    if workers <= 1 and not force_pool:
-        return SerialExecutor()
-    resolved = resolve_context(context)
+    resolved = "serial" if workers <= 1 else resolve_start_method(workers, context)
     if resolved == "serial":
-        if context != "serial":
-            _warn_fallback(workers, context)
         return SerialExecutor()
-    from repro.parallel.worker import warm_worker
-
-    ctx = multiprocessing.get_context(resolved)
-    pool = ProcessPoolExecutor(
-        max_workers=max(1, workers),
-        mp_context=ctx,
-        initializer=warm_worker,
-        initargs=(tuple(warm_keys),),
-    )
-    return _PoolAdapter(pool, resolved)
+    return WorkerPool(workers, context=resolved, warm_keys=warm_keys)

@@ -1,4 +1,4 @@
-"""Shard bounds and the byte-identical merge.
+"""Shard bounds, the byte-identical merge and the telemetry fold.
 
 Shards are *contiguous* index ranges: packet order is preserved, so the
 merged CSR is the serial CSR verbatim (no permutation to undo), and the
@@ -11,10 +11,11 @@ from typing import Sequence
 
 import numpy as np
 
+import repro.cache as cache
 from repro.core.pathset import PathSet
 from repro.routing.base import RoutingProblem, RoutingResult
 
-__all__ = ["shard_bounds", "merge_shard_results"]
+__all__ = ["fold_telemetry", "merge_shard_results", "shard_bounds"]
 
 
 def shard_bounds(n: int, workers: int) -> list[tuple[int, int]]:
@@ -91,3 +92,21 @@ def merge_shard_results(
     return RoutingResult(
         sub, paths, router_name, entropy, kept_indices=kept
     )
+
+
+def fold_telemetry(results: Sequence, router, profiler) -> None:
+    """Fold worker results' telemetry back into the parent-side objects.
+
+    Each result's ``profile`` snapshot merges into ``profiler`` (when
+    there is one), its ``cache_stats`` delta into the process cache
+    counters, and its ``counters`` deltas onto ``router``'s attributes —
+    the inverse of the worker-side collection in
+    :mod:`repro.parallel.worker`.
+    """
+    for r in results:
+        if r.profile is not None and profiler is not None:
+            profiler.merge_snapshot(r.profile)
+        if r.cache_stats is not None:
+            cache.absorb_worker_stats(r.cache_stats)
+        for attr, delta in r.counters.items():
+            setattr(router, attr, getattr(router, attr, 0) + delta)

@@ -13,6 +13,7 @@ unchanged under the :class:`~repro.parallel.executor.SerialExecutor`, so
 from __future__ import annotations
 
 import copy
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,35 @@ def warm_worker(warm_keys: tuple = ()) -> None:
         cache.warm(warm_keys)
 
 
+@contextmanager
+def _telemetry(router: Router, profile: bool):
+    """Collect one task's worker-side telemetry around the ``with`` body.
+
+    Installs a fresh profiler when ``profile`` is set, and on exit fills
+    the yielded dict with the fields every worker result carries: the
+    ``profile`` snapshot, the ``cache_stats`` delta and the nonzero
+    ``counters`` deltas.  :func:`~repro.parallel.sharding.fold_telemetry`
+    is the parent-side inverse.
+    """
+    if profile:
+        from repro.obs import Profiler
+
+        router.profiler = Profiler()
+    stats_before = cache.stats()
+    before = {a: getattr(router, a) for a in _COUNTER_ATTRS if hasattr(router, a)}
+    telemetry: dict = {}
+    yield telemetry
+    stats_after = cache.stats()
+    deltas = {a: int(getattr(router, a)) - int(v) for a, v in before.items()}
+    telemetry["counters"] = {a: d for a, d in deltas.items() if d}
+    telemetry["profile"] = router.profiler.snapshot() if profile else None
+    telemetry["cache_stats"] = {
+        "hits": stats_after.hits - stats_before.hits,
+        "misses": stats_after.misses - stats_before.misses,
+        "entries": stats_after.entries,
+    }
+
+
 def prepare_router(router: Router) -> Router:
     """A shallow copy of ``router`` safe and cheap to pickle.
 
@@ -82,7 +112,7 @@ class ShardTask:
     budget: object | None = None
     #: ship the shard's CSR back through a shared-memory segment
     #: (:class:`~repro.core.pathset.SharedCSR`) instead of pickling the
-    #: arrays — the zero-copy transport the warm service pool uses
+    #: arrays — set exactly when the shard runs in another process
     use_shm: bool = False
 
 
@@ -91,9 +121,9 @@ class ShardResult:
     """One worker's routed shard, as raw picklable arrays + telemetry.
 
     Exactly one of (``nodes``/``offsets``, ``shared``) carries the CSR:
-    pickle transport ships the arrays inline; shm transport parks them in
-    a shared segment and ships only the :class:`SharedCSR` handle, with
-    segment ownership handed to the parent.
+    an in-process shard returns the arrays inline; a shard run on a worker
+    process parks them in a shared segment and ships only the
+    :class:`SharedCSR` handle, with segment ownership handed to the parent.
     """
 
     offset: int
@@ -166,42 +196,35 @@ def select_online_paths(task: OnlinePathTask) -> OnlinePathResult:
 
     cache.warm(task.warm_keys)
     router = task.router
-    if task.profile:
-        from repro.obs import Profiler
-
-        router.profiler = Profiler()
-    stats_before = cache.stats()
-    before = {a: getattr(router, a) for a in _COUNTER_ATTRS if hasattr(router, a)}
     faulty = hasattr(router, "at_step")
     mesh = task.mesh
     n = task.sources.size
     status = np.full(n, PKT_OK, dtype=np.int8)
     seqs: list[np.ndarray] = []
     nedges: list[int] = []
-    for j in range(n):
-        if faulty:
-            router.at_step = int(task.born[j])
-        stream = packet_stream(task.entropy, task.offset + j, prefix=(SIM_PATHS,))
-        try:
-            path = router.select_path(
-                mesh, int(task.sources[j]), int(task.dests[j]), stream
-            )
-        except FaultRoutingError:
-            status[j] = PKT_DROP
-            continue
-        if len(path) < 2:
-            status[j] = PKT_SKIP
-            continue
-        seq = mesh.edge_ids(path[:-1], path[1:])
-        seqs.append(seq)
-        nedges.append(int(seq.size))
-        if task.profile:
-            # per-shard hop-count distribution; fixed-bin histograms
-            # merge exactly in the parent, so the fleet-level view is
-            # shard-count invariant (tests/test_traffic_properties.py)
-            router.profiler.record_hist("online.path_hops", int(seq.size))
-    stats_after = cache.stats()
-    counters = {a: int(getattr(router, a)) - int(v) for a, v in before.items()}
+    with _telemetry(router, task.profile) as telemetry:
+        for j in range(n):
+            if faulty:
+                router.at_step = int(task.born[j])
+            stream = packet_stream(task.entropy, task.offset + j, prefix=(SIM_PATHS,))
+            try:
+                path = router.select_path(
+                    mesh, int(task.sources[j]), int(task.dests[j]), stream
+                )
+            except FaultRoutingError:
+                status[j] = PKT_DROP
+                continue
+            if len(path) < 2:
+                status[j] = PKT_SKIP
+                continue
+            seq = mesh.edge_ids(path[:-1], path[1:])
+            seqs.append(seq)
+            nedges.append(int(seq.size))
+            if task.profile:
+                # per-shard hop-count distribution; fixed-bin histograms
+                # merge exactly in the parent, so the fleet-level view is
+                # shard-count invariant (tests/test_traffic_properties.py)
+                router.profiler.record_hist("online.path_hops", int(seq.size))
     return OnlinePathResult(
         offset=task.offset,
         status=status,
@@ -209,13 +232,7 @@ def select_online_paths(task: OnlinePathTask) -> OnlinePathResult:
             np.concatenate(seqs) if seqs else np.empty(0, dtype=np.int64)
         ),
         nedges=np.asarray(nedges, dtype=np.int64),
-        counters={k: v for k, v in counters.items() if v},
-        profile=router.profiler.snapshot() if task.profile else None,
-        cache_stats={
-            "hits": stats_after.hits - stats_before.hits,
-            "misses": stats_after.misses - stats_before.misses,
-            "entries": stats_after.entries,
-        },
+        **telemetry,
     )
 
 
@@ -223,24 +240,16 @@ def route_shard(task: ShardTask) -> ShardResult:
     """Route one shard in the current process (the worker entry point)."""
     cold = cache.warm(task.warm_keys)
     router = task.router
-    if task.profile:
-        from repro.obs import Profiler
-
-        router.profiler = Profiler()
-        router.profiler.count("parallel.cache_cold_keys", cold)
-    stats_before = cache.stats()
-    before = {a: getattr(router, a) for a in _COUNTER_ATTRS if hasattr(router, a)}
-    result = router.route(
-        task.problem,
-        task.entropy,
-        workers=1,
-        packet_offset=task.offset,
-        budget=task.budget,
-    )
-    stats_after = cache.stats()
-    counters = {
-        a: int(getattr(router, a)) - int(v) for a, v in before.items()
-    }
+    with _telemetry(router, task.profile) as telemetry:
+        if task.profile:
+            router.profiler.count("parallel.cache_cold_keys", cold)
+        result = router.route(
+            task.problem,
+            task.entropy,
+            workers=1,
+            packet_offset=task.offset,
+            budget=task.budget,
+        )
     shared = None
     nodes: np.ndarray | None = result.paths.nodes
     offsets: np.ndarray | None = result.paths.offsets
@@ -256,11 +265,5 @@ def route_shard(task: ShardTask) -> ShardResult:
         kept=result.kept_indices,
         bits_log=list(router.bits_log) if getattr(router, "bits_log", None) else None,
         budget=result.budget,
-        counters={k: v for k, v in counters.items() if v},
-        profile=router.profiler.snapshot() if task.profile else None,
-        cache_stats={
-            "hits": stats_after.hits - stats_before.hits,
-            "misses": stats_after.misses - stats_before.misses,
-            "entries": stats_after.entries,
-        },
+        **telemetry,
     )

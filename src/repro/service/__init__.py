@@ -3,9 +3,10 @@
 ``python -m repro serve --socket /tmp/repro.sock`` boots a daemon whose
 worker processes hold the decomposition cache resident, so a small
 routing request costs a warm dispatch instead of a pool boot plus a cold
-cache build.  Requests and results cross process boundaries through named
-shared-memory segments (:mod:`repro.core.shm`), never by pickling CSR
-arrays.
+cache build.  The workers are a :class:`~repro.parallel.executor.WorkerPool`
+— the pool sharded routes use — kept for the daemon's lifetime.  Requests
+and results cross process boundaries through named shared-memory
+segments (:mod:`repro.core.shm`), never by pickling CSR arrays.
 
 Layering: ``core``/``routing``/``parallel`` know nothing about the
 service; the service composes them.  Clients talk the length-prefixed
@@ -24,7 +25,6 @@ __all__ = [
     "MicroBatcher",
     "RoutingService",
     "ServiceClient",
-    "WarmPool",
     "serve",
 ]
 
@@ -38,10 +38,6 @@ def __getattr__(name: str):
         from repro.service.client import ServiceClient
 
         return ServiceClient
-    if name == "WarmPool":
-        from repro.service.pool import WarmPool
-
-        return WarmPool
     if name == "MicroBatcher":
         from repro.service.batching import MicroBatcher
 

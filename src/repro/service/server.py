@@ -1,11 +1,14 @@
-"""The routing daemon: unix-socket front end over the warm pool.
+"""The routing daemon: unix-socket front end over a resident worker pool.
 
 ``repro serve`` boots a :class:`RoutingService`: a listener thread
 accepts connections, a handler thread per connection speaks
 :mod:`repro.service.proto`, and routing requests flow through the
-:class:`~repro.service.batching.MicroBatcher` to the
-:class:`~repro.service.pool.WarmPool`.  Oversized requests bypass the
-batcher and shard across the warm workers via
+:class:`~repro.service.batching.MicroBatcher` to a prewarmed
+:class:`~repro.parallel.executor.WorkerPool` — the same self-healing pool
+sharded routes run on, kept for the service's lifetime.  Even one worker
+gets a real process (isolation, crash replacement); a ``serial`` or
+unavailable start method routes in-process instead.  Oversized requests
+bypass the batcher and shard across the warm workers via
 :func:`~repro.parallel.api.route_sharded` (with the pool injected, so no
 per-request pool boot there either).
 
@@ -33,8 +36,13 @@ import repro.cache as cache
 from repro.core.pathset import PathSet
 from repro.core.randomness import resolve_entropy
 from repro.obs import Profiler
+from repro.parallel.executor import (
+    SerialExecutor,
+    WorkerPool,
+    resolve_start_method,
+    resolve_workers,
+)
 from repro.service.batching import MicroBatcher, PendingRequest
-from repro.service.pool import WarmPool
 from repro.service.proto import ProtocolError, recv_msg, send_msg
 from repro.service.shm import share_pairs
 from repro.service.worker import RouteRequest, route_request_batch
@@ -99,17 +107,23 @@ class RoutingService:
         self.pairs_shm_min = int(pairs_shm_min)
         self.request_timeout_s = float(request_timeout_s)
         self.warm_keys = tuple(_parse_prewarm(s) for s in prewarm)
-        self.pool = WarmPool(
-            workers,
-            context=context,
-            warm_keys=self.warm_keys,
-            profiler=self.profiler,
+        self.workers = resolve_workers(workers)
+        start_method = resolve_start_method(self.workers, context)
+        self.pool = (
+            SerialExecutor()
+            if start_method == "serial"
+            else WorkerPool(
+                self.workers,
+                context=start_method,
+                warm_keys=self.warm_keys,
+                profiler=self.profiler,
+            )
         )
         self.batcher = MicroBatcher(
             self._dispatch_batch,
             max_batch=max_batch,
             flush_ms=flush_ms,
-            max_inflight=max(2, self.pool.workers),
+            max_inflight=max(2, self.workers),
         )
         self._sock: socket.socket | None = None
         self._stop = threading.Event()
@@ -254,7 +268,7 @@ class RoutingService:
 
     def _stats(self) -> dict:
         return {
-            "workers": self.pool.workers,
+            "workers": self.workers,
             "is_process_pool": self.pool.is_process_pool,
             "worker_restarts": self.pool.worker_restarts,
             "pids": list(self.pool.pids()),
@@ -331,7 +345,7 @@ class RoutingService:
                 router,
                 problem,
                 payload.entropy,
-                workers=self.pool.workers,
+                workers=self.workers,
                 executor=self.pool,
             )
         self.profiler.count("service.sharded_requests", 1)

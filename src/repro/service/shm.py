@@ -1,18 +1,16 @@
-"""Request-side shared-memory transport and the orphan-segment sweep.
+"""Request-side shared-memory transport.
 
 Replies travel as :class:`~repro.core.pathset.SharedCSR` (built into
 ``PathSet``); this module covers the *request* direction — a batch's
-source/destination pairs parked in one segment per request — plus the
-sweep that reclaims segments left behind by a worker the kernel killed
-mid-request.
+source/destination pairs parked in one segment per request.
 
 Ownership follows the repo-wide protocol of :mod:`repro.core.shm`: the
 server creates and hands off, the worker :meth:`SharedPairs.take`\\ s
 (read + close + unlink).  A worker that dies before taking leaves the
-segment linked; the dispatch retry path discards it explicitly, and
-:func:`sweep_worker_segments` catches anything a dead worker *produced*
-but never delivered (reply segments are pid-named, so a dead pid's
-segments are orphans by construction).
+segment linked; the dispatch retry path discards it explicitly, and the
+worker pool's :func:`~repro.core.shm.sweep_worker_segments` catches
+anything a dead worker *produced* but never delivered (reply segments are
+pid-named, so a dead pid's segments are orphans by construction).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from repro.core import shm as core_shm
 
-__all__ = ["SharedPairs", "share_pairs", "sweep_worker_segments"]
+__all__ = ["SharedPairs", "share_pairs"]
 
 
 @dataclass(frozen=True)
@@ -68,19 +66,3 @@ def share_pairs(sources: np.ndarray, dests: np.ndarray) -> SharedPairs:
     del flat
     core_shm.handoff(seg)
     return SharedPairs(name=seg.name, n=n)
-
-
-def sweep_worker_segments(pids) -> list[str]:
-    """Discard every live segment created by the given (dead) worker pids.
-
-    Segments are named ``repro-<pid>-<hex>`` precisely so this sweep can
-    target one producer without touching anything a live process may
-    still deliver.  Returns the names it removed.
-    """
-    removed: list[str] = []
-    for pid in pids:
-        prefix = f"{core_shm.SEGMENT_PREFIX}{int(pid)}-"
-        for name in core_shm.active_segments(prefix):
-            if core_shm.discard(name):
-                removed.append(name)
-    return removed

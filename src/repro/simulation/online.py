@@ -212,7 +212,7 @@ def simulate_online(
     from repro.faults.router import FaultAwareRouter, FaultRoutingError
     from repro.parallel.executor import make_executor, resolve_workers
     from repro.routing.base import RoutingProblem
-    from repro.parallel.sharding import shard_bounds
+    from repro.parallel.sharding import fold_telemetry, shard_bounds
     from repro.parallel.worker import (
         PKT_DROP,
         PKT_OK,
@@ -316,15 +316,7 @@ def simulate_online(
             shard_results = pool.map(select_online_paths, tasks)
         finally:
             pool.shutdown()
-    for r in shard_results:
-        if r.profile is not None and profiler is not None:
-            profiler.merge_snapshot(r.profile)
-        if r.cache_stats is not None:
-            import repro.cache as _cache
-
-            _cache.absorb_worker_stats(r.cache_stats)
-        for attr, delta in r.counters.items():
-            setattr(selecting_router, attr, getattr(selecting_router, attr, 0) + delta)
+    fold_telemetry(shard_results, selecting_router, profiler)
     # scheduled packets (PKT_OK only): their edge ids back to back
     if shard_results:
         status = np.concatenate([r.status for r in shard_results])

@@ -166,6 +166,19 @@ class TestArgumentErrors:
         err = _usage_error(argv + ["--router", "greedy-offline"], capsys)
         assert "argument --router: invalid choice: 'greedy-offline'" in err
 
+    @pytest.mark.parametrize("spec", ["abc", "0x4", "4x-4", "16^", ""])
+    @pytest.mark.parametrize("command", ["route", "traffic"])
+    def test_malformed_mesh(self, command, spec, capsys):
+        # unparsable specs and sides Mesh rejects both used to end in a
+        # traceback with exit 1
+        err = _usage_error([command, "--mesh", spec], capsys)
+        assert f"repro {command}: error: bad mesh spec" in err
+
+    def test_adversarial_traffic_needs_divisible_mesh(self, capsys):
+        # Pi_A needs sides divisible by 2*l: a ValueError traceback before
+        err = _usage_error(TRAFFIC + ["--traffic", "adversarial"], capsys)
+        assert "repro traffic: error:" in err and "divisible" in err
+
     def test_valid_admission_flags_enable_admission(self, capsys):
         assert main(TRAFFIC + ["--max-wait", "1"]) == 0
         assert "+admission" in capsys.readouterr().out

@@ -1,23 +1,31 @@
 """Executor lifecycle regressions: pool teardown, fallback, spawn, shm.
 
-These pin the two per-call lifecycle bugs the service work exposed:
+These pin the per-call lifecycle bugs of sharded routes:
 
 1. a failing sharded route used to leak its process pool (the try/finally
    covered only the map, not the merge/telemetry fold) — now an owned
    pool is torn down on *every* exit path;
 2. ``make_executor`` used to degrade to the in-process executor silently
    — now it warns once per process and the sharding layer counts
-   ``parallel.fallback_serial``.
+   ``parallel.fallback_serial``;
+3. a shard that raised used to strand the shared-memory reply of an
+   earlier shard that succeeded — now the owned pool's shutdown sweeps
+   the segments of its dead workers, and a worker that dies mid-route is
+   replaced and its shard retried.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
 
 from repro.cli import build_workload, parse_mesh
+from repro.core import shm as core_shm
+from repro.core.path_selection import HierarchicalRouter
 from repro.obs import Profiler
 from repro.parallel import executor as executor_mod
 from repro.parallel.api import route_sharded
@@ -40,6 +48,37 @@ class ExplodingRouter(Router):
 
     def route(self, problem, seed=None, **kwargs):
         raise RuntimeError("boom: injected worker failure")
+
+
+class LaterShardFailsRouter(HierarchicalRouter):
+    """Routes the first shard, raises on every later one (in the worker)."""
+
+    def route(self, problem, seed=None, **kwargs):
+        if kwargs.get("packet_offset", 0) > 0:
+            raise RuntimeError("boom: later shard failed")
+        return super().route(problem, seed, **kwargs)
+
+
+class DieOnceRouter(HierarchicalRouter):
+    """SIGKILLs its worker on a later shard while ``sentinel`` exists."""
+
+    def __init__(self, sentinel: str):
+        super().__init__()
+        self.sentinel = sentinel
+
+    def route(self, problem, seed=None, **kwargs):
+        if kwargs.get("packet_offset", 0) > 0 and os.path.exists(self.sentinel):
+            os.unlink(self.sentinel)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().route(problem, seed, **kwargs)
+
+
+def _new_children(before: set) -> list:
+    return [
+        p
+        for p in multiprocessing.active_children()
+        if p.pid not in before and p.is_alive()
+    ]
 
 
 def _problem(spec: str = "8x8", workload: str = "transpose"):
@@ -82,6 +121,35 @@ class TestPoolTeardown:
             if p.pid not in before and p.is_alive()
         ]
         assert not leaked
+
+    def test_failing_shard_leaves_no_segments(self):
+        """Shard 0 succeeds and hands its CSR over in shared memory, then
+        shard 1 raises: the dropped reply segment must not outlive the
+        owned pool."""
+        problem = _problem("16x16")
+        before = set(core_shm.active_segments())
+        children = set(p.pid for p in multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="later shard"):
+            route_sharded(LaterShardFailsRouter(), problem, 0, workers=2)
+        assert set(core_shm.active_segments()) - before == set()
+        assert not _new_children(children)
+
+    def test_worker_killed_mid_route_is_retried(self, tmp_path):
+        """A worker SIGKILLed during an owned-pool route breaks the pool;
+        the pool is rebuilt, the shards retried, and the route returns the
+        serial bytes with nothing left behind."""
+        sentinel = str(tmp_path / "die-once")
+        open(sentinel, "w").close()
+        problem = _problem("16x16")
+        serial = make_router("hierarchical").route(problem, 2)
+        before = set(core_shm.active_segments())
+        children = set(p.pid for p in multiprocessing.active_children())
+        result = route_sharded(DieOnceRouter(sentinel), problem, 2, workers=2)
+        assert not os.path.exists(sentinel)
+        assert result.paths.nodes.tobytes() == serial.paths.nodes.tobytes()
+        assert result.paths.offsets.tobytes() == serial.paths.offsets.tobytes()
+        assert set(core_shm.active_segments()) - before == set()
+        assert not _new_children(children)
 
     def test_injected_executor_is_not_shut_down(self):
         pool = make_executor(2, context="fork")
@@ -158,9 +226,11 @@ class TestSpawnContext:
         problem = _problem()
         router = make_router("hierarchical")
         serial = router.route(problem, 5)
-        spawned = route_sharded(
-            router, problem, 5, workers=2, context="spawn"
-        )
+        pool = make_executor(2, context="spawn")
+        try:
+            spawned = route_sharded(router, problem, 5, workers=2, executor=pool)
+        finally:
+            pool.shutdown()
         assert spawned.paths.nodes.tobytes() == serial.paths.nodes.tobytes()
         assert spawned.paths.offsets.tobytes() == serial.paths.offsets.tobytes()
 
@@ -168,30 +238,12 @@ class TestSpawnContext:
 @pytest.mark.skipif(not FORK, reason="needs fork pools")
 class TestShmTransport:
     def test_shm_transport_byte_identical_and_clean(self):
-        from repro.core import shm as core_shm
-
+        """Shards on a process pool come back through shared memory; the
+        merge consumes every segment."""
         problem = _problem("16x16")
         router = make_router("hierarchical")
         serial = router.route(problem, 9)
         before = set(core_shm.active_segments())
-        shm_result = route_sharded(
-            router, problem, 9, workers=3, transport="shm"
-        )
+        shm_result = route_sharded(router, problem, 9, workers=3)
         assert shm_result.paths.nodes.tobytes() == serial.paths.nodes.tobytes()
         assert set(core_shm.active_segments()) - before == set()
-
-    def test_pickle_transport_still_available(self):
-        problem = _problem()
-        router = make_router("hierarchical")
-        serial = router.route(problem, 9)
-        pickled = route_sharded(
-            router, problem, 9, workers=2, transport="pickle"
-        )
-        assert pickled.paths.nodes.tobytes() == serial.paths.nodes.tobytes()
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            route_sharded(
-                make_router("hierarchical"), _problem(), 0,
-                workers=2, transport="carrier-pigeon",
-            )

@@ -25,12 +25,13 @@ import pytest
 
 from repro.cli import build_workload, parse_mesh
 from repro.core import shm as core_shm
+from repro.core.shm import sweep_worker_segments
+from repro.parallel.executor import WorkerPool
 from repro.routing.registry import make_router
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.pool import WarmPool
 from repro.service.proto import recv_msg
 from repro.service.server import RoutingService
-from repro.service.shm import SharedPairs, share_pairs, sweep_worker_segments
+from repro.service.shm import SharedPairs, share_pairs
 from repro.workloads import random_pairs
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "path_hashes.json"
@@ -269,7 +270,7 @@ class TestCrashRecovery:
         retried task runs on a fresh worker and succeeds."""
         sentinel = str(tmp_path / "die-once")
         open(sentinel, "w").close()
-        pool = WarmPool(2, context="fork")
+        pool = WorkerPool(2, context="fork")
         try:
             pids = pool.map(_die_once_then_pid, [sentinel])
             assert len(pids) == 1 and pids[0] > 0
@@ -287,7 +288,7 @@ class TestCrashRecovery:
             calls.append(1)
             return [sentinel]
 
-        pool = WarmPool(2, context="fork")
+        pool = WorkerPool(2, context="fork")
         try:
             pool.map(_die_once_then_pid, [sentinel], rebuild=rebuild)
         finally:
@@ -322,7 +323,7 @@ class TestCrashRecovery:
     def test_dead_worker_segments_swept_on_restart(self, tmp_path):
         """Segments a dead worker produced but never delivered are
         reclaimed by the restart sweep."""
-        pool = WarmPool(1, context="fork")
+        pool = WorkerPool(1, context="fork")
         try:
             pool.prewarm()
             (victim,) = pool.pids()
