@@ -206,6 +206,12 @@ class PathSet(Sequence):
         from repro.core import shm as _shm
 
         seg = _shm.attach(desc.name)
+        if min(desc.num_paths, desc.num_nodes) < 0 or desc.nbytes > seg.size:
+            seg.close()
+            raise ValueError(
+                f"shared CSR handle {desc.name!r} claims {desc.nbytes} bytes; "
+                f"its segment holds {seg.size}"
+            )
         ro = seg.buf.toreadonly()
         off = np.frombuffer(ro, dtype=np.int64, count=desc.num_paths + 1)
         nod = np.frombuffer(

@@ -188,9 +188,9 @@ class FaultAwareRouter(Router):
         With non-trivial faults, unreachable packets are excluded and the
         result is built on the routable subproblem; the number excluded
         accumulates in :attr:`unroutable`.  Whether a packet is kept
-        depends only on its own stream and the static fault state, so
-        sharded execution (``workers > 1``) keeps and routes exactly the
-        serial packet set.
+        depends only on its own stream and the static fault state, so a
+        route split into blocks (more than one block or worker) keeps and
+        routes exactly the one-batch packet set.
 
         Budget semantics under faults: degradation decisions are made
         *once* by the shared ladder (:func:`~repro.core.budget.
@@ -211,17 +211,9 @@ class FaultAwareRouter(Router):
                 packet_offset=packet_offset,
                 budget=params,
             )
-        if workers is not None and workers != 1:
-            from repro.parallel import route_sharded
-
-            return route_sharded(
-                self,
-                problem,
-                seed,
-                workers=workers,
-                packet_offset=packet_offset,
-                budget=params,
-            )
+        planned = self._plan(problem, seed, workers, packet_offset, params)
+        if planned is not None:
+            return planned
         entropy = resolve_entropy(seed)
         ladder = budget_ladder(self, problem, params)
         mesh = problem.mesh

@@ -28,6 +28,8 @@ import numpy as np
 
 __all__ = ["Mesh"]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _as_coord_array(coords: np.ndarray | Sequence[Sequence[int]], d: int) -> np.ndarray:
     """Coerce ``coords`` to a 2-D ``(k, d)`` int64 array."""
@@ -70,13 +72,9 @@ class Mesh:
         self.sides: tuple[int, ...] = sides
         self.d: int = len(sides)
         self.torus: bool = bool(torus)
-        self.n: int = int(np.prod(np.asarray(sides, dtype=np.int64)))
-        # C-order strides: strides[-1] == 1.
-        strides = np.ones(self.d, dtype=np.int64)
-        for i in range(self.d - 2, -1, -1):
-            strides[i] = strides[i + 1] * sides[i + 1]
-        self.strides: np.ndarray = strides
-        self._sides_arr = np.asarray(sides, dtype=np.int64)
+        # Sizes in Python ints first: node and edge ids are int64, and numpy
+        # arithmetic would wrap an oversized mesh to a wrong (even 0) size.
+        self.n: int = math.prod(sides)
         # Per-dimension number of edges and block offsets for edge ids.
         edge_counts = []
         for i, m_i in enumerate(sides):
@@ -87,6 +85,16 @@ class Mesh:
             else:
                 per_line = m_i - 1
             edge_counts.append(self.n // m_i * per_line)
+        if max(self.n, sum(edge_counts)) > _INT64_MAX:
+            raise ValueError(
+                f"mesh {sides} is too large: node and edge ids must fit in int64"
+            )
+        # C-order strides: strides[-1] == 1; each is at most n.
+        strides = np.ones(self.d, dtype=np.int64)
+        for i in range(self.d - 2, -1, -1):
+            strides[i] = strides[i + 1] * sides[i + 1]
+        self.strides: np.ndarray = strides
+        self._sides_arr = np.asarray(sides, dtype=np.int64)
         self._edge_counts = np.asarray(edge_counts, dtype=np.int64)
         self.edge_offsets: np.ndarray = np.concatenate(
             ([0], np.cumsum(self._edge_counts)[:-1])

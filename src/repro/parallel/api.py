@@ -1,11 +1,16 @@
 """:func:`route_sharded` — the entry point behind ``Router.route(workers=)``.
 
-Splits the problem into contiguous shards, routes them on an executor
-(process pool or in-process), and merges per-shard results into the exact
-serial bytes.  The parent resolves the seed *once*
+Every route that is larger than one block, or that asks for more than one
+worker, runs here on one plan: contiguous blocks of at most
+:data:`~repro.routing.base.ROUTE_BLOCK` packets
+(:func:`~repro.parallel.sharding.block_bounds`), one task per block.  The
+tasks run on an executor — a process pool, or the in-process
+:class:`~repro.parallel.executor.SerialExecutor` for a serial route — and
+the merge streams each block's reply into the exact serial bytes.  The
+parent resolves the seed *once*
 (:func:`~repro.core.randomness.resolve_entropy`) and ships the same
-integer to every worker, so even ``seed=None`` runs are internally
-consistent across shard counts.
+integer to every block, so even ``seed=None`` runs are internally
+consistent across block and worker counts.
 """
 
 from __future__ import annotations
@@ -14,7 +19,12 @@ from contextlib import nullcontext
 
 from repro.core.randomness import resolve_entropy
 from repro.parallel.executor import make_executor, resolve_workers
-from repro.parallel.sharding import fold_telemetry, merge_shard_results, shard_bounds
+from repro.parallel.sharding import (
+    block_bounds,
+    fold_telemetry,
+    merge_shard_results,
+    release_shard_result,
+)
 from repro.parallel.worker import ShardTask, prepare_router, route_shard
 from repro.routing.base import RoutingProblem, RoutingResult, Router
 
@@ -31,22 +41,26 @@ def route_sharded(
     executor=None,
     budget=None,
 ) -> RoutingResult:
-    """Route ``problem`` in shards; byte-identical to the serial engine.
+    """Route ``problem`` block by block; byte-identical to one engine call.
 
     Parameters mirror :meth:`Router.route`; ``executor`` optionally
-    injects a pre-built executor (anything with ordered ``map`` +
-    ``shutdown``) — callers routing many problems amortise pool start-up
-    by passing one in (the routing service passes its resident
-    :class:`~repro.parallel.executor.WorkerPool`), and tests sweep shard
-    counts on the :class:`~repro.parallel.executor.SerialExecutor`
-    without process cost.  An executor this call created is always shut
-    down before returning — success, worker exception or merge failure
-    alike — so a failing sharded route can never leak a pool, its child
-    processes or the shard segments it dropped.
+    injects a pre-built executor (anything with the ordered
+    ``map(fn, tasks, release=)`` and ``shutdown`` of
+    :class:`~repro.parallel.executor.WorkerPool`) — callers routing many
+    problems amortise pool start-up by passing one in (the routing service
+    passes its resident pool), and tests sweep block counts on the
+    :class:`~repro.parallel.executor.SerialExecutor` without process cost.
+    An executor this call created is always shut down before returning —
+    success, worker exception or merge failure alike — so a failing route
+    can never leak a pool, its child processes or the block segments it
+    dropped.
 
-    Shards that run in another process return their CSR through a
-    shared-memory segment (:meth:`PathSet.to_shared`); in-process shards
-    return the arrays inline.
+    ``workers=1`` runs the blocks one after another in this process; a
+    route of at most one block on one worker is a single
+    :meth:`Router.route` call with no task at all.  Blocks that run in
+    another process return their CSR through a shared-memory segment
+    (:meth:`PathSet.to_shared`), one per block; in-process blocks return
+    the arrays inline.
     """
     if not router.is_oblivious:
         raise ValueError(
@@ -58,8 +72,8 @@ def route_sharded(
     params = BudgetParams.resolve(budget)
     w = resolve_workers(workers)
     entropy = resolve_entropy(seed)
-    n = problem.num_packets
-    if w == 1 or n == 0:
+    bounds = block_bounds(problem.num_packets, w)
+    if not bounds or (w == 1 and len(bounds) == 1):
         return router.route(
             problem,
             entropy,
@@ -75,11 +89,10 @@ def route_sharded(
     pool = make_executor(w, warm_keys=warm_keys) if own_executor else executor
     try:
         use_shm = bool(getattr(pool, "is_process_pool", False))
-        if not use_shm and profiler is not None:
-            # workers > 1 was requested but the shards run in-process —
+        if w > 1 and not use_shm and profiler is not None:
+            # workers > 1 was requested but the blocks run in-process —
             # either a platform degradation or an injected SerialExecutor
             profiler.count("parallel.fallback_serial", 1)
-        bounds = shard_bounds(n, w)
         tasks = [
             ShardTask(
                 router=payload,
@@ -95,10 +108,12 @@ def route_sharded(
         ]
         stage = profiler.stage("parallel.route") if profiler else nullcontext()
         with stage:
-            results = pool.map(route_shard, tasks)
+            # a block that raises must not strand the replies of the blocks
+            # that completed: the pool hands those to release_shard_result
+            results = pool.map(route_shard, tasks, release=release_shard_result)
 
-        # Merge first: it consumes (and unlinks) any shared-memory
-        # segments the workers handed over, so a failure in the telemetry
+        # Merge first: it consumes (and unlinks) every shared-memory
+        # segment the workers handed over, so a failure in the telemetry
         # fold below cannot strand them.
         merged = merge_shard_results(problem, router.name, entropy, results)
 
@@ -121,7 +136,6 @@ def route_sharded(
         return merged
     finally:
         # Owned pools are torn down on *every* exit path, and the pool's
-        # shutdown sweeps segments its workers left behind — a shard
-        # result dropped because a later shard raised included.
+        # shutdown sweeps the segments of workers that died mid-reply.
         if own_executor:
             pool.shutdown()

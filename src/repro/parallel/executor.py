@@ -68,7 +68,10 @@ class SerialExecutor:
     is_process_pool = False
     worker_restarts = 0
 
-    def map(self, fn: Callable, tasks: Iterable, *, rebuild=None) -> list:  # noqa: ARG002
+    def map(self, fn: Callable, tasks: Iterable, *, rebuild=None, release=None) -> list:
+        # rebuild/release: nothing in-process breaks, and in-process results
+        # own no resource to release when a later task raises
+        del rebuild, release
         return [fn(t) for t in tasks]
 
     def prewarm(self) -> None:
@@ -113,6 +116,24 @@ def _sweep_dead(pids) -> None:
         except PermissionError:  # pragma: no cover - pid reused by another user
             pass
     sweep_worker_segments(dead)
+
+
+def _gather(futures: list, release) -> list:
+    """The futures' results in order; on a raise, cancel and ``release``.
+
+    Waits for the tasks already running so their results can be released
+    too; a task that raised or was cancelled has nothing to release.
+    """
+    try:
+        return [f.result() for f in futures]
+    except BaseException:
+        for f in futures:
+            f.cancel()
+        if release is not None:
+            for f in futures:
+                if not f.cancelled() and f.exception() is None:
+                    release(f.result())
+        raise
 
 
 class WorkerPool:
@@ -169,19 +190,24 @@ class WorkerPool:
         """
         self.map(_probe, [0.05] * self.workers)
 
-    def map(self, fn: Callable, tasks: Iterable, *, rebuild=None) -> list:
+    def map(self, fn: Callable, tasks: Iterable, *, rebuild=None, release=None) -> list:
         """Ordered ``map`` with broken-pool recovery.
 
         On ``BrokenExecutor`` (a worker died): rebuild the pool, sweep the
         dead workers' orphaned segments, bump ``worker_restarts``, and
         retry — with ``rebuild()``'s fresh tasks when given, else the same
         tasks.  Raises after :data:`MAX_RETRIES` consecutive failures.
+
+        When a task raises, the tasks not yet started are cancelled and the
+        results of every task that completed are passed to ``release``
+        before the exception propagates, so a reply that owns a resource (a
+        shared-memory segment) is never dropped while its worker lives on.
         """
         tasks = list(tasks)
         for attempt in range(MAX_RETRIES + 1):
             pool, generation = self.pool, self._generation
             try:
-                return list(pool.map(fn, tasks))
+                return _gather([pool.submit(fn, t) for t in tasks], release)
             except BrokenExecutor:
                 if attempt >= MAX_RETRIES:
                     raise

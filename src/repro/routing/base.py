@@ -207,6 +207,16 @@ class RoutingResult:
         )
 
 
+#: most packets one :meth:`Router.route` call routes at once.  The engine's
+#: temporaries grow with the batch (about 2.2M stream positions per 16k
+#: packets on a 64x64 mesh), so a larger batch overflows cache in every
+#: kernel pass and holds hundreds of MB at once; a larger oblivious route
+#: runs on the block plan of :mod:`repro.parallel` instead, which is where
+#: it is split.  Chosen by measurement, docs/PERFORMANCE.md, "perfbench
+#: record: one block plan".
+ROUTE_BLOCK = 16_384
+
+
 class Router(ABC):
     """Base class for path-selection algorithms.
 
@@ -287,14 +297,17 @@ class Router(ABC):
         Uses the vectorised engine when :meth:`batch_spec` offers a spec,
         the per-packet :meth:`select_path` loop otherwise.
 
-        ``workers`` selects sharded execution (:mod:`repro.parallel`):
-        ``1`` routes in-process, ``N > 1`` splits the problem over ``N``
-        worker processes, ``None``/``0`` uses one worker per CPU.  Every
-        per-packet stream is keyed by the packet's *global* index
-        (``packet_offset`` plus its row), so the merged result is
-        byte-identical to the serial one for every worker count.
-        ``packet_offset`` is that global base index — shard workers set it;
-        top-level callers leave it at 0.
+        ``workers`` selects the executor of the block plan
+        (:mod:`repro.parallel`): ``1`` (or ``None``) routes in-process,
+        ``N > 1`` spreads the blocks over ``N`` worker processes, ``0``
+        uses one worker per CPU.  An oblivious route of more than
+        :data:`ROUTE_BLOCK` packets runs in blocks
+        of at most that many even in-process; a smaller one is a single
+        engine call.  Every per-packet stream is keyed by the packet's
+        *global* index (``packet_offset`` plus its row), so the merged
+        result is byte-identical to one batch for every block and worker
+        count.  ``packet_offset`` is that global base index — block tasks
+        set it; top-level callers leave it at 0.
 
         ``budget`` makes the per-packet randomness budget first class
         (:mod:`repro.core.budget`): ``None`` reads ``REPRO_BUDGET`` from
@@ -307,17 +320,9 @@ class Router(ABC):
         packets keep their exact bytes.
         """
         params = BudgetParams.resolve(budget)
-        if workers is not None and workers != 1:
-            from repro.parallel import route_sharded
-
-            return route_sharded(
-                self,
-                problem,
-                seed,
-                workers=workers,
-                packet_offset=packet_offset,
-                budget=params,
-            )
+        planned = self._plan(problem, seed, workers, packet_offset, params)
+        if planned is not None:
+            return planned
         entropy = resolve_entropy(seed)
         ladder = budget_ladder(self, problem, params)
         note_budget(self.profiler, ladder.ledger)
@@ -344,6 +349,29 @@ class Router(ABC):
         result = RoutingResult(problem, paths, self.name, entropy)
         result.budget = ladder.ledger
         return result
+
+    def _plan(self, problem, seed, workers, packet_offset, params):
+        """The route on the parallel layer's block plan, or ``None``.
+
+        ``None`` — route in this call — for one worker when ``problem``
+        fits one block or the router is not oblivious; otherwise
+        :func:`~repro.parallel.api.route_sharded` splits ``problem`` into
+        blocks and runs them on ``workers`` (in-process for one).
+        """
+        if workers is None or workers == 1:
+            if not self.is_oblivious or problem.num_packets <= ROUTE_BLOCK:
+                return None
+            workers = 1
+        from repro.parallel import route_sharded
+
+        return route_sharded(
+            self,
+            problem,
+            seed,
+            workers=workers,
+            packet_offset=packet_offset,
+            budget=params,
+        )
 
     def _select(
         self, problem: RoutingProblem, entropy: int, indices: np.ndarray

@@ -26,27 +26,47 @@ from repro.mesh.submesh import Submesh
 LEAK_GRACE_S = 5.0
 
 
-def _leftovers(segments, children):
+def _open_sockets() -> int:
+    """Socket fds open in this process (0 where ``/proc`` has no fd table)."""
+    count = 0
+    try:
+        fds = os.listdir("/proc/self/fd")
+    except OSError:  # pragma: no cover - non-Linux
+        return 0
+    for fd in fds:
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except OSError:  # closed since the listing (the listdir fd itself)
+            pass
+    return count
+
+
+def _leftovers(segments, children, sockets):
     leaked = sorted(set(active_segments()) - segments)
     # active_children() also reaps children that have already exited
     live = sorted(p.pid for p in multiprocessing.active_children() if p.pid not in children)
-    return leaked, live
+    return leaked, live, max(0, _open_sockets() - sockets)
 
 
 @pytest.fixture(scope="module", autouse=True)
 def no_leaks_per_module():
-    """Fail a test module that leaves ``repro-*`` shm segments or live
-    child processes behind (anything present before the module is ignored)."""
+    """Fail a test module that leaves ``repro-*`` shm segments, live child
+    processes or more open sockets than it found behind (anything present
+    before the module is ignored)."""
     segments = set(active_segments())
     children = {p.pid for p in multiprocessing.active_children()}
+    sockets = _open_sockets()
     yield
     deadline = time.monotonic() + LEAK_GRACE_S
-    leaked, live = _leftovers(segments, children)
-    while (leaked or live) and time.monotonic() < deadline:
+    leaked, live, extra = _leftovers(segments, children, sockets)
+    while (leaked or live or extra) and time.monotonic() < deadline:
         time.sleep(0.05)
-        leaked, live = _leftovers(segments, children)
-    if leaked or live:
-        pytest.fail(f"module leaked shm segments {leaked} and child processes {live}")
+        leaked, live, extra = _leftovers(segments, children, sockets)
+    if leaked or live or extra:
+        pytest.fail(
+            f"module leaked shm segments {leaked}, child processes {live} "
+            f"and {extra} socket fds"
+        )
 
 
 @pytest.fixture

@@ -166,11 +166,12 @@ class TestArgumentErrors:
         err = _usage_error(argv + ["--router", "greedy-offline"], capsys)
         assert "argument --router: invalid choice: 'greedy-offline'" in err
 
-    @pytest.mark.parametrize("spec", ["abc", "0x4", "4x-4", "16^", ""])
+    @pytest.mark.parametrize("spec", ["abc", "0x4", "4x-4", "16^", "", "16^16"])
     @pytest.mark.parametrize("command", ["route", "traffic"])
     def test_malformed_mesh(self, command, spec, capsys):
         # unparsable specs and sides Mesh rejects both used to end in a
-        # traceback with exit 1
+        # traceback with exit 1; 16^16 overflowed int64 into a 0-node mesh
+        # and exited 0
         err = _usage_error([command, "--mesh", spec], capsys)
         assert f"repro {command}: error: bad mesh spec" in err
 

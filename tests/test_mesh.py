@@ -28,6 +28,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Mesh((4, 0))
 
+    @pytest.mark.parametrize(
+        "sides",
+        [(16,) * 16, (2**63,), (2**62, 2), (2**20, 2**20, 2**22)],
+        ids=["16^16", "2^63", "nodes-2^63", "edges-past-int64"],
+    )
+    def test_rejects_int64_overflow(self, sides):
+        # 16^16 used to wrap to a 0-node mesh with only a RuntimeWarning
+        with pytest.raises(ValueError, match="int64"):
+            Mesh(sides)
+
+    def test_largest_sizes_still_build(self):
+        m = Mesh((2**31, 2**31))
+        assert m.n == 2**62
+        assert m.strides.tolist() == [2**31, 1]
+        assert m.num_edges == 2 * 2**31 * (2**31 - 1)
+
     def test_single_node_mesh(self):
         m = Mesh((1,))
         assert m.n == 1

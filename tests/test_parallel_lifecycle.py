@@ -11,7 +11,11 @@ These pin the per-call lifecycle bugs of sharded routes:
 3. a shard that raised used to strand the shared-memory reply of an
    earlier shard that succeeded — now the owned pool's shutdown sweeps
    the segments of its dead workers, and a worker that dies mid-route is
-   replaced and its shard retried.
+   replaced and its shard retried;
+4. on an injected pool (the service's oversized-request path) the same
+   stranded replies outlived the route until the pool's own shutdown —
+   now the pool hands every completed reply of a failed map back for
+   release.
 """
 
 from __future__ import annotations
@@ -56,6 +60,19 @@ class LaterShardFailsRouter(HierarchicalRouter):
     def route(self, problem, seed=None, **kwargs):
         if kwargs.get("packet_offset", 0) > 0:
             raise RuntimeError("boom: later shard failed")
+        return super().route(problem, seed, **kwargs)
+
+
+class MiddleBlockFailsRouter(HierarchicalRouter):
+    """Routes every block but the one starting at ``fail_at``, which raises."""
+
+    def __init__(self, fail_at: int):
+        super().__init__()
+        self.fail_at = fail_at
+
+    def route(self, problem, seed=None, **kwargs):
+        if kwargs.get("packet_offset", 0) == self.fail_at:
+            raise RuntimeError("boom: a middle block failed")
         return super().route(problem, seed, **kwargs)
 
 
@@ -133,6 +150,33 @@ class TestPoolTeardown:
             route_sharded(LaterShardFailsRouter(), problem, 0, workers=2)
         assert set(core_shm.active_segments()) - before == set()
         assert not _new_children(children)
+
+    def test_injected_pool_releases_completed_blocks(self, monkeypatch):
+        """Four blocks on a resident pool; the second raises.  The replies
+        of the blocks that completed — before and after the failure — must
+        be gone when the route returns, not only after the pool's
+        shutdown."""
+        from repro.parallel import sharding
+        from repro.routing import base
+
+        monkeypatch.setattr(base, "ROUTE_BLOCK", 64)
+        problem = _problem("16x16")
+        bounds = sharding.block_bounds(problem.num_packets, 2)
+        assert len(bounds) == 4
+        router = MiddleBlockFailsRouter(fail_at=bounds[1][0])
+        pool = make_executor(2, context="fork")
+        try:
+            before = set(core_shm.active_segments())
+            with pytest.raises(RuntimeError, match="middle block"):
+                route_sharded(router, problem, 0, workers=2, executor=pool)
+            assert set(core_shm.active_segments()) - before == set()
+            # the pool survives the failed route and still routes
+            good = route_sharded(
+                make_router("hierarchical"), problem, 0, workers=2, executor=pool
+            )
+            assert len(good.paths) == problem.num_packets
+        finally:
+            pool.shutdown()
 
     def test_worker_killed_mid_route_is_retried(self, tmp_path):
         """A worker SIGKILLed during an owned-pool route breaks the pool;
