@@ -5,9 +5,10 @@ serve`` (the long-lived routing daemon).  A cold ``route(workers=4)``
 call pays for its process pool on *every* request — fork, module import,
 kernels-backend resolution, decomposition-cache rebuild — which dwarfs
 the actual routing work for small batches.  The service boots that
-machinery once: workers stay warm (backend pinned, cache resident),
-requests micro-batch across one dispatch, and CSR results travel through
-shared memory instead of pickles.
+machinery once: workers stay warm (backend pinned, cache resident), each
+request goes out as soon as a dispatch thread is free (together with
+whatever queued behind it), and CSR results travel through shared memory
+instead of pickles.
 
 Two claims, both asserted on every run:
 
@@ -84,7 +85,6 @@ def run_experiment(
         service = RoutingService(
             socket_path,
             workers=workers,
-            flush_ms=1.0,
             prewarm=(f"{m}x{m}", f"{big_m}x{big_m}"),
         )
         service.start()

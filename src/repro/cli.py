@@ -225,9 +225,6 @@ def _cmd_serve(args) -> int:
         args.socket,
         workers=args.workers,
         context=args.context,
-        max_batch=args.max_batch,
-        flush_ms=args.flush_ms,
-        shard_threshold=args.shard_threshold,
         prewarm=prewarm,
     )
     signal.signal(signal.SIGTERM, lambda *_: service.stop())
@@ -581,7 +578,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_route)
 
     p = sub.add_parser(
-        "serve", help="persistent routing daemon with a warm worker pool"
+        "serve", help="persistent routing daemon with a warm worker pool",
+        description="Run the routing daemon.  A request goes to a warm "
+                    "worker as soon as a dispatch thread is free, batched "
+                    "with whatever queued behind it; a request the block "
+                    "plan would split (an oblivious router on more than "
+                    "repro.routing.base.ROUTE_BLOCK packets) shards across "
+                    "all workers.",
     )
     p.add_argument("--socket", default="/tmp/repro.sock", metavar="PATH",
                    help="unix socket to listen on (default: /tmp/repro.sock)")
@@ -590,13 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", default="auto",
                    choices=("auto", "fork", "spawn", "serial"),
                    help="worker start method (default: auto)")
-    p.add_argument("--max-batch", type=int, default=16,
-                   help="micro-batch size cap (default: 16)")
-    p.add_argument("--flush-ms", type=float, default=2.0,
-                   help="micro-batch flush deadline in ms (default: 2)")
-    p.add_argument("--shard-threshold", type=int, default=1 << 16,
-                   help="requests with at least this many packets shard "
-                        "across all warm workers instead of batching")
     p.add_argument("--prewarm", default="", metavar="MESHES",
                    help="comma-separated mesh specs to warm at boot, e.g. "
                         "'16x16,8x8x8:torus'")

@@ -144,30 +144,6 @@ class PathSet(Sequence):
         offsets.setflags(write=False)  # freshly built: freeze for zero-copy wrap
         return cls(nodes, offsets)
 
-    @classmethod
-    def concatenate(cls, parts: Iterable["PathSet"]) -> "PathSet":
-        """One CSR holding the paths of ``parts`` in order (shard merge).
-
-        Path ``k`` of the result is byte-identical to the path it came
-        from: node buffers concatenate verbatim and each part's offsets are
-        shifted by the nodes preceding it.  Merging the per-shard results
-        of a split problem therefore reproduces the serial CSR exactly.
-        """
-        parts = list(parts)
-        if not parts:
-            return cls.from_paths([])
-        if len(parts) == 1:
-            return parts[0]
-        nodes = np.concatenate([p.nodes for p in parts])
-        shifts = np.cumsum([0] + [p.total_nodes for p in parts[:-1]])
-        offsets = np.concatenate(
-            [parts[0].offsets[:1]]
-            + [p.offsets[1:] + s for p, s in zip(parts, shifts.tolist())]
-        )
-        nodes.setflags(write=False)
-        offsets.setflags(write=False)
-        return cls(nodes, offsets)
-
     # -- shared-memory interchange -------------------------------------
     def to_shared(self) -> SharedCSR:
         """Park this CSR in a fresh shared-memory segment; hand off ownership.

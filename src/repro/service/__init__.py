@@ -3,8 +3,11 @@
 ``python -m repro serve --socket /tmp/repro.sock`` boots a daemon whose
 worker processes hold the decomposition cache resident, so a small
 routing request costs a warm dispatch instead of a pool boot plus a cold
-cache build.  The workers are a :class:`~repro.parallel.executor.WorkerPool`
-— the pool sharded routes use — kept for the daemon's lifetime.  Requests
+cache build.  A request goes out as soon as a dispatch thread is free,
+together with whatever queued behind it; a request the block plan would
+split shards across the same workers.  The workers are a
+:class:`~repro.parallel.executor.WorkerPool` — the pool sharded routes
+use — kept for the daemon's lifetime.  Requests
 and results cross process boundaries through named shared-memory
 segments (:mod:`repro.core.shm`), never by pickling CSR arrays.
 
@@ -22,7 +25,6 @@ history.
 from __future__ import annotations
 
 __all__ = [
-    "MicroBatcher",
     "RoutingService",
     "ServiceClient",
     "serve",
@@ -38,8 +40,4 @@ def __getattr__(name: str):
         from repro.service.client import ServiceClient
 
         return ServiceClient
-    if name == "MicroBatcher":
-        from repro.service.batching import MicroBatcher
-
-        return MicroBatcher
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,15 +2,20 @@
 
 ``repro serve`` boots a :class:`RoutingService`: a listener thread
 accepts connections, a handler thread per connection speaks
-:mod:`repro.service.proto`, and routing requests flow through the
-:class:`~repro.service.batching.MicroBatcher` to a prewarmed
+:mod:`repro.service.proto`, and routing requests wait on one queue.
+``max(2, workers)`` dispatch threads drain it: each takes the head
+request plus whatever is already waiting (at most :data:`MAX_BATCH`),
+with no deadline, and ships them as one task to a prewarmed
 :class:`~repro.parallel.executor.WorkerPool` — the same self-healing pool
-sharded routes run on, kept for the service's lifetime.  Even one worker
-gets a real process (isolation, crash replacement); a ``serial`` or
-unavailable start method routes in-process instead.  Oversized requests
-bypass the batcher and shard across the warm workers via
-:func:`~repro.parallel.api.route_sharded` (with the pool injected, so no
-per-request pool boot there either).
+sharded routes run on, kept for the service's lifetime.  A lone request
+on an idle service goes out at once, alone; under load, the requests that
+queued behind busy dispatches share the next one.  Even one worker gets a
+real process (isolation, crash replacement); a ``serial`` or unavailable
+start method routes in-process instead.  A request the block plan would
+split — an oblivious router on more than
+:data:`~repro.routing.base.ROUTE_BLOCK` packets — skips the queue and
+shards across the warm workers via :func:`~repro.parallel.api.route_sharded`
+(with the pool injected, so no per-request pool boot there either).
 
 Observability: the service profiler counts ``service.requests``,
 ``service.batches``, ``service.batched_requests``,
@@ -25,10 +30,13 @@ dispatches in the ``service.worker_batch`` / ``service.sharded`` stages.
 from __future__ import annotations
 
 import os
+import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,17 +50,31 @@ from repro.parallel.executor import (
     resolve_start_method,
     resolve_workers,
 )
-from repro.service.batching import MicroBatcher, PendingRequest
+from repro.routing import base
+from repro.routing.registry import make_router
 from repro.service.proto import ProtocolError, recv_msg, send_msg
 from repro.service.shm import share_pairs
 from repro.service.worker import RouteRequest, route_request_batch
 
-__all__ = ["RoutingService", "serve"]
+__all__ = ["MAX_BATCH", "PAIRS_SHM_MIN", "RoutingService", "serve"]
+
+#: the most requests one dispatch ships to a worker
+MAX_BATCH = 16
+#: a request of at least this many packets ships its pairs to the worker
+#: through a shared-memory segment instead of the task pickle
+PAIRS_SHM_MIN = 2048
+
+#: queued by stop(); each dispatch thread that takes it puts it back and exits
+_STOP = object()
+
+
+class _RequestFailed(Exception):
+    """A request's error reply, delivered through its future."""
 
 
 @dataclass
 class _RoutePayload:
-    """One admitted request's parameters, parent-side."""
+    """One admitted request: its parameters and the future of its reply."""
 
     sides: tuple
     torus: bool
@@ -60,6 +82,8 @@ class _RoutePayload:
     entropy: int
     sources: np.ndarray
     dests: np.ndarray
+    reply: Future = field(default_factory=Future)
+    enqueued: float = field(default_factory=time.monotonic)
 
     @property
     def n(self) -> int:
@@ -70,11 +94,11 @@ def _parse_prewarm(spec: str):
     """``"16x16"`` / ``"8x8x8:torus"`` → a warm-up handshake key."""
     from repro.cli import parse_mesh
 
-    base, _, flag = spec.partition(":")
+    sides, _, flag = spec.partition(":")
     torus = flag == "torus"
     if flag and not torus:
         raise ValueError(f"bad prewarm spec {spec!r} (suffix must be ':torus')")
-    return cache.warmup_key(parse_mesh(base, torus))
+    return cache.warmup_key(parse_mesh(sides, torus))
 
 
 class RoutingService:
@@ -85,6 +109,9 @@ class RoutingService:
     engine call — so the reply is byte-identical to
     ``make_router(name).route(problem, seed)`` run locally, regardless of
     batching, worker count, or crash/restart history.
+
+    ``request_timeout_s`` bounds how long a handler waits for its reply;
+    past it the client gets an error and a late reply is dropped.
     """
 
     def __init__(
@@ -93,18 +120,12 @@ class RoutingService:
         *,
         workers: int | None = 2,
         context: str = "auto",
-        max_batch: int = 16,
-        flush_ms: float = 2.0,
-        shard_threshold: int = 1 << 16,
-        pairs_shm_min: int = 2048,
         prewarm: tuple = (),
         profiler: Profiler | None = None,
         request_timeout_s: float = 120.0,
     ):
         self.socket_path = str(socket_path)
         self.profiler = profiler if profiler is not None else Profiler()
-        self.shard_threshold = int(shard_threshold)
-        self.pairs_shm_min = int(pairs_shm_min)
         self.request_timeout_s = float(request_timeout_s)
         self.warm_keys = tuple(_parse_prewarm(s) for s in prewarm)
         self.workers = resolve_workers(workers)
@@ -119,12 +140,15 @@ class RoutingService:
                 profiler=self.profiler,
             )
         )
-        self.batcher = MicroBatcher(
-            self._dispatch_batch,
-            max_batch=max_batch,
-            flush_ms=flush_ms,
-            max_inflight=max(2, self.workers),
-        )
+        self._queue: queue.Queue = queue.Queue()
+        self._admit_lock = threading.Lock()
+        self._closing = False
+        self._dispatchers = [
+            threading.Thread(
+                target=self._dispatch_loop, name="repro-dispatch", daemon=True
+            )
+            for _ in range(max(2, self.workers))
+        ]
         self._sock: socket.socket | None = None
         self._stop = threading.Event()
         self._stop_lock = threading.Lock()
@@ -149,6 +173,8 @@ class RoutingService:
             target=self._accept_loop, name="repro-accept", daemon=True
         )
         self._accept_thread.start()
+        for t in self._dispatchers:
+            t.start()
         self._started = True
         return self
 
@@ -164,7 +190,7 @@ class RoutingService:
             self.stop()
 
     def stop(self) -> None:
-        """Stop accepting, drain the batcher, shut the pool down.
+        """Stop accepting, fail what is queued, shut the pool down.
 
         Blocking and idempotent: every caller returns only after teardown
         has fully completed, even when another thread started it first.
@@ -190,7 +216,17 @@ class RoutingService:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=10)
-        self.batcher.stop()
+        with self._admit_lock:
+            self._closing = True
+        while True:  # requests no dispatch thread has taken yet
+            try:
+                _fail(self._queue.get_nowait(), "service stopped")
+            except queue.Empty:
+                break
+        if self._started:
+            self._queue.put(_STOP)
+            for t in self._dispatchers:
+                t.join()
         self.pool.shutdown()
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
@@ -272,7 +308,7 @@ class RoutingService:
             "is_process_pool": self.pool.is_process_pool,
             "worker_restarts": self.pool.worker_restarts,
             "pids": list(self.pool.pids()),
-            "queue_depth": self.batcher.qsize(),
+            "queue_depth": self._queue.qsize(),
             "profile": self.profiler.snapshot(),
         }
 
@@ -296,49 +332,55 @@ class RoutingService:
             dests=dests,
         )
         self.profiler.count("service.requests", 1)
-        if payload.n >= self.shard_threshold and self.pool.is_process_pool:
-            self._route_sharded(conn, payload)
-            return
-        self.profiler.observe("service.queue_depth", self.batcher.qsize())
-        pending = self.batcher.submit(PendingRequest(payload=payload))
-        if not pending.done.wait(timeout=self.request_timeout_s):
-            pending.abandon()
+        # the block plan's rule (Router._plan): split exactly the routes
+        # it would split, and nothing a non-oblivious router asks for
+        if payload.n > base.ROUTE_BLOCK:
+            router = make_router(payload.router)
+            if router.is_oblivious:
+                self._route_sharded(conn, payload, router)
+                return
+        self.profiler.observe("service.queue_depth", self._queue.qsize())
+        with self._admit_lock:
+            if self._closing:
+                _fail(payload, "service stopped")
+            else:
+                self._queue.put(payload)
+        try:
+            reply = payload.reply.result(timeout=self.request_timeout_s)
+        except FutureTimeout:
+            # a queued request is never dispatched; a running one's late
+            # reply lands on a future nobody reads
+            payload.reply.cancel()
             send_msg(
                 conn,
                 {"ok": False, "error": "request timed out in the service"},
             )
             return
-        if pending.error is not None:
-            send_msg(conn, {"ok": False, "error": pending.error})
+        except _RequestFailed as exc:
+            send_msg(conn, {"ok": False, "error": str(exc)})
             return
-        reply = pending.reply
-        try:
-            send_msg(
-                conn,
-                {
-                    "ok": True,
-                    "entropy": reply["entropy"],
-                    "num_packets": reply["num_packets"],
-                    "elapsed_s": reply["elapsed_s"],
-                },
-                {"nodes": reply["nodes"], "offsets": reply["offsets"]},
-            )
-        finally:
-            pending.release()
+        send_msg(
+            conn,
+            {
+                "ok": True,
+                "entropy": reply["entropy"],
+                "num_packets": reply["num_packets"],
+                "elapsed_s": reply["elapsed_s"],
+            },
+            {"nodes": reply["nodes"], "offsets": reply["offsets"]},
+        )
 
-    def _route_sharded(self, conn, payload: _RoutePayload) -> None:
-        """Oversized request: shard across the warm pool, skip the batcher."""
+    def _route_sharded(self, conn, payload: _RoutePayload, router) -> None:
+        """A request the block plan splits: shard it across the warm pool."""
         from repro.mesh.mesh import Mesh
         from repro.parallel.api import route_sharded
         from repro.routing.base import RoutingProblem
-        from repro.routing.registry import make_router
 
         t0 = time.perf_counter()
         mesh = Mesh(payload.sides, torus=payload.torus)
         problem = RoutingProblem(
             mesh, payload.sources, payload.dests, name="service"
         )
-        router = make_router(payload.router)
         router.profiler = self.profiler
         with self.profiler.stage("service.sharded"):
             result = route_sharded(
@@ -361,8 +403,34 @@ class RoutingService:
             {"nodes": result.paths.nodes, "offsets": result.paths.offsets},
         )
 
+    def _dispatch_loop(self) -> None:
+        """Ship the head request plus whatever already waits, until stop."""
+        while True:
+            batch = [self._queue.get()]
+            while batch[-1] is not _STOP and len(batch) < MAX_BATCH:
+                try:
+                    batch.append(self._queue.get_nowait())
+                except queue.Empty:
+                    break
+            stop = batch[-1] is _STOP
+            if stop:
+                batch.pop()
+                self._queue.put(_STOP)  # for the next dispatch thread
+            # a handler that timed out cancelled its queued request
+            live = [p for p in batch if p.reply.set_running_or_notify_cancel()]
+            if live:
+                try:
+                    self._dispatch_batch(live)
+                except Exception as exc:  # noqa: BLE001 - handlers must not hang
+                    msg = f"{type(exc).__name__}: {exc}"
+                    for p in live:
+                        if not p.reply.done():
+                            p.reply.set_exception(_RequestFailed(msg))
+            if stop:
+                return
+
     def _dispatch_batch(self, batch: list) -> None:
-        """Ship one micro-batch to a warm worker; resolve every pending."""
+        """Ship one batch to a warm worker; resolve every request's future."""
         self.profiler.count("service.batches", 1)
         self.profiler.count("service.batched_requests", len(batch))
         self.profiler.observe("service.batch_size", len(batch))
@@ -370,11 +438,10 @@ class RoutingService:
 
         def build() -> list[RouteRequest]:
             reqs = []
-            for i, pending in enumerate(batch):
-                p = pending.payload
+            for i, p in enumerate(batch):
                 pairs = None
                 sources, dests = p.sources, p.dests
-                if use_shm and p.n >= self.pairs_shm_min:
+                if use_shm and p.n >= PAIRS_SHM_MIN:
                     pairs = share_pairs(sources, dests)
                     sources = dests = None
                 reqs.append(
@@ -420,10 +487,11 @@ class RoutingService:
 
         by_id = {r.req_id: r for r in replies}
         now = time.monotonic()
-        for i, pending in enumerate(batch):
+        for i, p in enumerate(batch):
             r = by_id.get(i)
             if r is None or not r.ok:
-                pending.fail(r.error if r is not None else "no reply from worker")
+                error = r.error if r is not None else "no reply from worker"
+                p.reply.set_exception(_RequestFailed(error))
                 continue
             if r.shared is not None:
                 # Attach promptly (the parent owns the segment from this
@@ -435,8 +503,8 @@ class RoutingService:
                 ps.close_shared(unlink=True)
             else:
                 nodes, offsets = r.nodes, r.offsets
-            self.profiler.observe("service.request_s", now - pending.enqueued)
-            pending.finish(
+            self.profiler.observe("service.request_s", now - p.enqueued)
+            p.reply.set_result(
                 {
                     "entropy": r.entropy,
                     "num_packets": r.num_packets,
@@ -445,6 +513,12 @@ class RoutingService:
                     "offsets": offsets,
                 }
             )
+
+
+def _fail(payload: _RoutePayload, error: str) -> None:
+    """Resolve a request no dispatch will take with an error reply."""
+    if payload.reply.set_running_or_notify_cancel():
+        payload.reply.set_exception(_RequestFailed(error))
 
 
 def serve(socket_path: str, **kwargs) -> RoutingService:

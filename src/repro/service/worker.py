@@ -1,7 +1,8 @@
 """Worker-side request specs and the batch entry point.
 
-A micro-batch crosses to the pool as ONE task — a list of
-:class:`RouteRequest` — and comes back as a list of :class:`RouteReply`.
+A dispatch — the head request plus whatever queued behind it — crosses
+to the pool as ONE task, a list of :class:`RouteRequest`, and comes back
+as a list of :class:`RouteReply`.
 The worker loops :meth:`Router.route` *per request*, each with its own
 resolved entropy and ``packet_offset=0``: requests are never merged into
 a single engine call, which is precisely what makes a service route
@@ -89,7 +90,7 @@ def _route_one(req: RouteRequest) -> RouteReply:
 
 
 def route_request_batch(requests: list) -> list:
-    """Route every request of one micro-batch in this worker process."""
+    """Route every request of one dispatch in this worker process."""
     replies: list[RouteReply] = []
     for req in requests:
         try:

@@ -142,7 +142,7 @@ def _live_service():
         path = os.path.join(
             tempfile.mkdtemp(prefix="repro-verify-"), "service.sock"
         )
-        svc = serve(path, workers=2, flush_ms=1.0)
+        svc = serve(path, workers=2)
         atexit.register(svc.stop)
         _SERVICE = (svc, path)
     return _SERVICE

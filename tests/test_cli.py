@@ -130,6 +130,15 @@ class TestArgumentErrors:
         err = _usage_error([command, "--mesh", "4x4", "--rates", rates], capsys)
         assert f"repro {command}: error: argument --rates" in err
 
+    @pytest.mark.parametrize(
+        "flag", ["--flush-ms", "--max-batch", "--shard-threshold"]
+    )
+    def test_serve_has_no_batching_knobs(self, flag, capsys):
+        # the service batches what is waiting and shards what the block
+        # plan splits, with no window, cap or threshold to set
+        err = _usage_error(["serve", flag, "1"], capsys)
+        assert "unrecognized arguments" in err
+
     def test_online_rates_are_probabilities(self, capsys):
         err = _usage_error(["online", "--mesh", "4x4", "--rates", "0.1,1.5"], capsys)
         assert "repro online: error:" in err and "[0, 1]" in err

@@ -1,7 +1,7 @@
 """PathSet conformance suite: CSR construction, the ``Sequence`` protocol,
 derived views, metric equivalence against the pre-refactor list-of-arrays
 implementations, and a hypothesis fuzz layer over construction
-round-trips and shard concatenation."""
+round-trips."""
 
 import numpy as np
 import pytest
@@ -298,7 +298,7 @@ class TestMetricEquivalence:
 # Hypothesis fuzz layer: arbitrary path lists (empty collections, empty
 # paths, single-node paths, duplicated node ids and duplicated whole paths
 # all arise naturally from the strategy) round-trip through both
-# constructors, and concatenation of any split equals the whole.
+# constructors.
 # ---------------------------------------------------------------------------
 
 #: lists of paths over a small id space — duplicates of both kinds are common
@@ -348,44 +348,6 @@ class TestFuzzRoundTrips:
         ps = PathSet.from_paths([np.asarray(p, dtype=np.int64) for p in raw])
         assert [p.tolist() for p in ps] == raw
         assert ps.lengths.tolist() == [0, 0, 2, 0, 1, 1]
-
-
-class TestFuzzConcatenate:
-    @given(path_lists, st.integers(0, 12))
-    def test_split_then_concatenate_is_identity(self, raw, cut):
-        paths = [np.asarray(p, dtype=np.int64) for p in raw]
-        whole = PathSet.from_paths(paths)
-        cut = min(cut, len(paths))
-        parts = [PathSet.from_paths(paths[:cut]), PathSet.from_paths(paths[cut:])]
-        merged = PathSet.concatenate(parts)
-        assert merged.nodes.tobytes() == whole.nodes.tobytes()
-        assert merged.offsets.tobytes() == whole.offsets.tobytes()
-
-    @given(path_lists, st.integers(2, 5))
-    def test_many_way_split(self, raw, k):
-        paths = [np.asarray(p, dtype=np.int64) for p in raw]
-        whole = PathSet.from_paths(paths)
-        bounds = np.linspace(0, len(paths), k + 1).astype(int)
-        parts = [
-            PathSet.from_paths(paths[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-        merged = PathSet.concatenate(parts)
-        assert merged == whole
-        assert merged.offsets[0] == 0
-
-    def test_concatenate_empty_list(self):
-        assert len(PathSet.concatenate([])) == 0
-
-    def test_concatenate_single_part_passthrough(self):
-        ps = PathSet.from_paths([np.asarray([0, 1])])
-        assert PathSet.concatenate([ps]) is ps
-
-    def test_concatenate_result_frozen(self):
-        merged = PathSet.concatenate(
-            [PathSet.from_paths([np.asarray([0, 1])]) for _ in range(2)]
-        )
-        with pytest.raises(ValueError):
-            merged.nodes[0] = 9
 
 
 class TestSharedMemory:

@@ -2,10 +2,14 @@
 
 The contract under test is the one ``docs/SERVICE.md`` documents: a
 request routed through ``repro serve`` is byte-identical to the same
-route run locally — regardless of micro-batch composition, worker count,
+route run locally — regardless of batch composition, worker count,
 shared-memory transport, or worker crash/restart history — and a stopped
 service leaves nothing behind: no child processes, no ``/dev/shm``
 segments, no socket file.
+
+The dispatch tests run a ``context="serial"`` service whose
+``route_request_batch`` is gated, so every batch boundary they assert is
+set by the test, never by a clock.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from repro.cli import build_workload, parse_mesh
 from repro.core import shm as core_shm
 from repro.core.shm import sweep_worker_segments
 from repro.parallel.executor import WorkerPool
+from repro.routing import base
 from repro.routing.registry import make_router
+from repro.service import server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.proto import recv_msg
 from repro.service.server import RoutingService
@@ -60,18 +66,19 @@ def _live_children() -> list[int]:
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
-    """One warm daemon shared by the read-only tests of this module."""
+    """One warm daemon shared by the read-only tests of this module.
+
+    Its block size is 2,000 packets and requests of 32 packets or more
+    ship their pairs through shared memory, so small problems reach the
+    sharded and shared-pairs paths.
+    """
     sock = str(tmp_path_factory.mktemp("svc") / "repro.sock")
-    svc = RoutingService(
-        sock,
-        workers=2,
-        flush_ms=1.0,
-        shard_threshold=2000,
-        pairs_shm_min=32,
-        prewarm=("8x8",),
-    ).start()
-    yield svc
-    svc.stop()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(base, "ROUTE_BLOCK", 2000)
+        mp.setattr(server, "PAIRS_SHM_MIN", 32)
+        svc = RoutingService(sock, workers=2, prewarm=("8x8",)).start()
+        yield svc
+        svc.stop()
 
 
 class TestServiceDeterminism:
@@ -96,8 +103,8 @@ class TestServiceDeterminism:
 
     def test_concurrent_clients_each_byte_identical(self, service):
         """Batch composition must be invisible: concurrent requests with
-        different seeds land in shared micro-batches, yet each reply
-        matches its own serial route."""
+        different seeds land in shared batches, yet each reply matches
+        its own serial route."""
         mesh = parse_mesh("8x8")
         problem = build_workload("transpose", mesh, 0)
         results: dict[int, bytes] = {}
@@ -152,10 +159,10 @@ class TestAdmissionEdges:
         assert r.paths.offsets.tolist() == [0]
 
     def test_oversized_request_shards_across_pool(self, service):
-        """Requests at the shard threshold bypass the batcher and still
-        produce serial bytes."""
+        """A request above ``ROUTE_BLOCK`` skips the queue, shards across
+        the pool, and still produces serial bytes."""
         mesh = parse_mesh("16x16")
-        problem = random_pairs(mesh, 2500, seed=3)  # above shard_threshold
+        problem = random_pairs(mesh, 2500, seed=3)  # above ROUTE_BLOCK
         with ServiceClient(service.socket_path) as client:
             before = client.stats()["profile"]["counters"].get(
                 "service.sharded_requests", 0
@@ -166,6 +173,25 @@ class TestAdmissionEdges:
         nodes, offsets = _local_bytes(problem, "hierarchical", 5)
         assert via.paths.nodes.tobytes() == nodes
         assert via.paths.offsets.tobytes() == offsets
+
+    def test_oversized_non_oblivious_request_routes_whole(self, service):
+        """A non-oblivious router is never split, however large the
+        request: it routes in one worker call, as ``route(workers=1)``
+        does locally."""
+        mesh = parse_mesh("8x8")
+        problem = random_pairs(mesh, 2100, seed=4)  # above ROUTE_BLOCK
+        with ServiceClient(service.socket_path) as client:
+            before = client.stats()["profile"]["counters"].get(
+                "service.sharded_requests", 0
+            )
+            via = client.route(problem, router="greedy-offline", seed=6)
+            after = client.stats()["profile"]["counters"].get(
+                "service.sharded_requests", 0
+            )
+        assert after == before
+        local = make_router("greedy-offline").route(problem, 6, workers=1)
+        assert via.paths.nodes.tobytes() == local.paths.nodes.tobytes()
+        assert via.paths.offsets.tobytes() == local.paths.offsets.tobytes()
 
     def test_mismatched_arrays_rejected(self, service):
         # the client validates first, so probe the server's own guard raw
@@ -243,6 +269,195 @@ class TestAdmissionEdges:
             assert "service.requests" in stats["profile"]["counters"]
             with pytest.raises(ServiceError, match="unknown op"):
                 client._rpc({"op": "bogus"})
+
+
+# ---------------------------------------------------------------------------
+# Dispatch: batch what is already waiting
+# ---------------------------------------------------------------------------
+
+def _wait_for(predicate, what: str, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"timed out waiting for {what}")
+        time.sleep(0.005)
+
+
+class _GatedDispatch:
+    """Stands in for ``route_request_batch``: records each batch's size,
+    then holds the dispatch thread until the test releases a permit."""
+
+    def __init__(self, monkeypatch):
+        self.sizes: list[int] = []
+        self.permits = threading.Semaphore(0)
+        self._real = server.route_request_batch
+        monkeypatch.setattr(server, "route_request_batch", self)
+
+    def __call__(self, requests):
+        self.sizes.append(len(requests))
+        self.permits.acquire()
+        return self._real(requests)
+
+    def release(self, n: int = 1 << 10) -> None:
+        for _ in range(n):
+            self.permits.release()
+
+
+class _Request(threading.Thread):
+    """One client request on its own connection, run in the background."""
+
+    def __init__(self, sock: str, problem, seed: int):
+        super().__init__(daemon=True)
+        self.sock, self.problem, self.seed = sock, problem, seed
+        self.result = self.error = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            with ServiceClient(self.sock) as client:
+                self.result = client.route(self.problem, seed=self.seed)
+        except Exception as exc:  # noqa: BLE001 - asserted by the test
+            self.error = exc
+
+
+def _occupy_slots(sock: str, problem, gate: _GatedDispatch, slots: int):
+    """Park one request in each dispatch slot, one at a time, so no slot
+    drains two of them into one batch."""
+    busy = []
+    for seed in range(slots):
+        busy.append(_Request(sock, problem, seed))
+        _wait_for(lambda: len(gate.sizes) == seed + 1, "a busy dispatch slot")
+    return busy
+
+
+@pytest.fixture
+def transpose8():
+    return build_workload("transpose", parse_mesh("8x8"), 0)
+
+
+class TestDispatch:
+    def test_waiting_requests_go_out_as_one_capped_batch(
+        self, tmp_path, monkeypatch, transpose8
+    ):
+        gate = _GatedDispatch(monkeypatch)
+        sock = str(tmp_path / "drain.sock")
+        svc = RoutingService(sock, workers=2, context="serial").start()
+        try:
+            slots = len(svc._dispatchers)
+            busy = _occupy_slots(sock, transpose8, gate, slots)
+            waiting = [
+                _Request(sock, transpose8, slots + s)
+                for s in range(server.MAX_BATCH + 3)
+            ]
+            _wait_for(
+                lambda: svc._queue.qsize() == len(waiting), "queued requests"
+            )
+            gate.release(1)  # one slot frees and drains the queue
+            _wait_for(lambda: len(gate.sizes) == slots + 1, "the next batch")
+            assert gate.sizes == [1] * slots + [server.MAX_BATCH]
+            gate.release()
+            for req in busy + waiting:
+                req.join(timeout=60)
+                assert req.error is None
+                nodes, offsets = _local_bytes(transpose8, "hierarchical", req.seed)
+                assert req.result.paths.nodes.tobytes() == nodes
+                assert req.result.paths.offsets.tobytes() == offsets
+            assert sum(gate.sizes) == slots + len(waiting)
+        finally:
+            gate.release()
+            svc.stop()
+
+    def test_lone_request_on_idle_service_goes_alone(
+        self, tmp_path, monkeypatch, transpose8
+    ):
+        gate = _GatedDispatch(monkeypatch)
+        gate.release()
+        sock = str(tmp_path / "lone.sock")
+        with RoutingService(sock, workers=2, context="serial") as svc:
+            with ServiceClient(sock) as client:
+                client.route(transpose8, seed=1)
+                counters = client.stats()["profile"]["counters"]
+            assert svc._queue.qsize() == 0
+        assert gate.sizes == [1]
+        assert counters["service.batches"] == 1
+        assert counters["service.batched_requests"] == 1
+
+    def test_stop_fails_queued_requests_and_joins_dispatchers(
+        self, tmp_path, monkeypatch, transpose8
+    ):
+        gate = _GatedDispatch(monkeypatch)
+        sock = str(tmp_path / "stop.sock")
+        svc = RoutingService(sock, workers=2, context="serial").start()
+        slots = len(svc._dispatchers)
+        busy = _occupy_slots(sock, transpose8, gate, slots)
+        queued = [_Request(sock, transpose8, slots + s) for s in range(3)]
+        _wait_for(lambda: svc._queue.qsize() == len(queued), "queued requests")
+        stopper = threading.Thread(target=svc.stop, daemon=True)
+        stopper.start()
+        try:
+            for req in queued:  # failed at once, not after the busy slots
+                req.join(timeout=30)
+                assert isinstance(req.error, ServiceError)
+                assert "service stopped" in str(req.error)
+        finally:
+            gate.release()
+        stopper.join(timeout=60)
+        assert not stopper.is_alive()
+        assert not any(t.is_alive() for t in svc._dispatchers)
+        for req in busy:  # in flight at stop: completed, not failed
+            req.join(timeout=30)
+            assert req.error is None
+        assert gate.sizes == [1] * slots
+
+    def test_timed_out_request_gets_an_error_and_its_late_reply_is_dropped(
+        self, tmp_path, monkeypatch, transpose8
+    ):
+        gate = _GatedDispatch(monkeypatch)
+        sock = str(tmp_path / "timeout.sock")
+        svc = RoutingService(
+            sock, workers=2, context="serial", request_timeout_s=0.2
+        ).start()
+        try:
+            with ServiceClient(sock) as client:
+                with pytest.raises(
+                    ServiceError, match="request timed out in the service"
+                ):
+                    client.route(transpose8, seed=1)
+                gate.release()
+                # the same connection answers its next request with that
+                # request's own bytes: the late reply never reached it
+                via = client.route(transpose8, seed=2)
+            nodes, offsets = _local_bytes(transpose8, "hierarchical", 2)
+            assert via.paths.nodes.tobytes() == nodes
+            assert via.paths.offsets.tobytes() == offsets
+            assert gate.sizes == [1, 1]
+        finally:
+            gate.release()
+            svc.stop()
+
+    def test_request_that_times_out_while_queued_is_never_dispatched(
+        self, tmp_path, monkeypatch, transpose8
+    ):
+        gate = _GatedDispatch(monkeypatch)
+        sock = str(tmp_path / "cancel.sock")
+        svc = RoutingService(
+            sock, workers=2, context="serial", request_timeout_s=0.2
+        ).start()
+        try:
+            slots = len(svc._dispatchers)
+            busy = _occupy_slots(sock, transpose8, gate, slots)
+            late = _Request(sock, transpose8, slots)
+            late.join(timeout=30)
+            assert "request timed out in the service" in str(late.error)
+            gate.release()
+            for req in busy:
+                req.join(timeout=30)
+            with ServiceClient(sock) as client:
+                client.route(transpose8, seed=9)
+            assert gate.sizes == [1] * (slots + 1)
+        finally:
+            gate.release()
+            svc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +564,33 @@ class TestCrashRecovery:
 # ---------------------------------------------------------------------------
 
 class TestLifecycleHygiene:
-    def test_full_lifecycle_leaks_nothing(self, tmp_path):
+    def test_full_lifecycle_leaks_nothing(self, tmp_path, monkeypatch):
         """Boot, route (batched + sharded + shm pairs), stop: no children,
         no segments, no socket file."""
+        monkeypatch.setattr(base, "ROUTE_BLOCK", 500)
+        monkeypatch.setattr(server, "PAIRS_SHM_MIN", 16)
+        shared = []
+        real_share = server.share_pairs
+
+        def share_pairs_spy(sources, dests):
+            shared.append(sources.size)
+            return real_share(sources, dests)
+
+        monkeypatch.setattr(server, "share_pairs", share_pairs_spy)
         before_children = set(_live_children())
         before_segments = set(core_shm.active_segments())
         sock = str(tmp_path / "clean.sock")
-        svc = RoutingService(
-            sock, workers=2, shard_threshold=500, pairs_shm_min=16
-        ).start()
+        svc = RoutingService(sock, workers=2).start()
         mesh = parse_mesh("8x8")
         small = build_workload("transpose", mesh, 0)
         big = random_pairs(mesh, 800, seed=1)
         with ServiceClient(sock) as client:
             client.route(small, seed=0)
             client.route(big, seed=0)
+            counters = client.stats()["profile"]["counters"]
         svc.stop()
+        assert counters["service.sharded_requests"] == 1
+        assert shared == [small.num_packets]
         assert set(core_shm.active_segments()) - before_segments == set()
         assert not os.path.exists(sock)
         leaked = set(_live_children()) - before_children

@@ -83,7 +83,7 @@ def main() -> int:
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--socket", socket_path, "--workers", "2",
-             "--flush-ms", "1", "--prewarm", SAMPLE_MESH],
+             "--prewarm", SAMPLE_MESH],
             env={**os.environ, "PYTHONPATH": str(REPO / "src")},
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
