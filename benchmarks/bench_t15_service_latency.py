@@ -7,8 +7,8 @@ kernels-backend resolution, decomposition-cache rebuild — which dwarfs
 the actual routing work for small batches.  The service boots that
 machinery once: workers stay warm (backend pinned, cache resident), each
 request goes out as soon as a dispatch thread is free (together with
-whatever queued behind it), and CSR results travel through shared memory
-instead of pickles.
+whatever queued behind it), and a large request's blocks travel back
+through shared memory instead of pickles.
 
 Two claims, both asserted on every run:
 

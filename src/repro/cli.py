@@ -579,12 +579,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve", help="persistent routing daemon with a warm worker pool",
-        description="Run the routing daemon.  A request goes to a warm "
-                    "worker as soon as a dispatch thread is free, batched "
-                    "with whatever queued behind it; a request the block "
-                    "plan would split (an oblivious router on more than "
-                    "repro.routing.base.ROUTE_BLOCK packets) shards across "
-                    "all workers.",
+        description="Run the routing daemon.  A request goes to the warm "
+                    "workers as soon as a dispatch thread is free, batched "
+                    "with whatever queued behind it, as the blocks "
+                    "route(workers=1) would run: a request the block plan "
+                    "splits (an oblivious router on more than "
+                    "repro.routing.base.ROUTE_BLOCK packets) spreads its "
+                    "blocks over all workers.",
     )
     p.add_argument("--socket", default="/tmp/repro.sock", metavar="PATH",
                    help="unix socket to listen on (default: /tmp/repro.sock)")

@@ -1,20 +1,20 @@
 """POSIX shared-memory primitives with explicit ownership hand-off.
 
 The service tier moves :class:`~repro.core.pathset.PathSet` CSR arrays
-between processes through named ``multiprocessing.shared_memory`` segments
-instead of pickling them.  That only works if ownership is explicit:
-Python's resource tracker assumes *the creating process* owns a segment
-and unlinks it (with a warning) when that process exits, which is exactly
-wrong for a hand-off — the worker that produced a result dies long before
-the parent has consumed it.
+between processes through named POSIX shared-memory segments instead of
+pickling them.  That only works if ownership is explicit, so segments
+here bypass ``multiprocessing.shared_memory`` and its resource tracker.
+The tracker assumes that every process that maps a segment owns it: it
+unlinks, with a warning, whatever a process still has registered when
+that process exits, which is exactly wrong for a hand-off, and it costs
+two tracker pipe writes per register and per unregister.
 
 The ownership protocol, used everywhere in this repo:
 
 1. The **producer** calls :func:`create_segment`, writes its payload, and
-   calls :func:`handoff` — which *unregisters* the segment from the
-   producer's resource tracker and closes the producer's mapping.  From
-   that moment the producer holds nothing; the segment lives in the
-   kernel, owned by whoever holds its descriptor.
+   calls :func:`handoff`, which closes the producer's mapping.  From that
+   moment the producer holds nothing; the segment lives in the kernel,
+   owned by whoever holds its name.
 2. The **consumer** calls :func:`attach` to map it, reads (zero-copy or
    by copy), then ``close()``\\ s its mapping and — as the terminal act of
    ownership — ``unlink()``\\ s the segment.
@@ -30,13 +30,16 @@ flags foreign segments.
 
 from __future__ import annotations
 
+import mmap
 import os
 import secrets
-from multiprocessing import shared_memory
 from pathlib import Path
+
+import _posixshmem  # CPython's shm_open/shm_unlink, as shared_memory uses
 
 __all__ = [
     "SEGMENT_PREFIX",
+    "Segment",
     "active_segments",
     "attach",
     "create_segment",
@@ -52,48 +55,79 @@ SEGMENT_PREFIX = "repro-"
 _SHM_DIR = Path("/dev/shm")
 
 
-def create_segment(nbytes: int) -> shared_memory.SharedMemory:
+class Segment:
+    """One mapped segment: its ``name``, ``size`` and a ``buf`` memoryview.
+
+    The subset of ``multiprocessing.shared_memory.SharedMemory`` this repo
+    uses, without resource-tracker registration.
+    """
+
+    def __init__(self, name: str, fd: int, size: int):
+        self.name = name
+        self.size = size
+        self._mmap = mmap.mmap(fd, size)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Unmap this process's view; the segment itself stays linked.
+
+        Raises ``BufferError`` while an array still exports the mapping.
+        """
+        if self.buf is not None:
+            self.buf.release()
+            self.buf = None
+        self._mmap.close()
+
+    def unlink(self) -> None:
+        """Remove the segment's name (the owner's final act)."""
+        _posixshmem.shm_unlink("/" + self.name)
+
+
+def _open(name: str, flags: int, size: int | None = None) -> Segment:
+    fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
+    try:
+        if size is None:
+            size = os.fstat(fd).st_size
+        else:
+            os.ftruncate(fd, size)
+        return Segment(name, fd, size)
+    finally:
+        os.close(fd)
+
+
+def create_segment(nbytes: int) -> Segment:
     """A fresh named segment of ``nbytes`` (>= 1) bytes, prefix-named."""
     size = max(int(nbytes), 1)
     for _ in range(16):
         name = f"{SEGMENT_PREFIX}{os.getpid()}-{secrets.token_hex(6)}"
         try:
-            return shared_memory.SharedMemory(name=name, create=True, size=size)
+            return _open(name, os.O_CREAT | os.O_EXCL | os.O_RDWR, size)
         except FileExistsError:  # pragma: no cover - 48-bit collision
             continue
     raise RuntimeError("could not allocate a unique shared-memory name")
 
 
-def handoff(seg: shared_memory.SharedMemory) -> None:
-    """Give up this process's ownership of ``seg`` (producer's final act).
+def handoff(seg: Segment) -> None:
+    """Give up this process's hold on ``seg`` (producer's final act).
 
-    Unregisters the segment from the local resource tracker — so this
-    process exiting no longer auto-unlinks it out from under the consumer
-    — and closes the local mapping.  After this call the *receiver* of the
-    segment's name owns it and must eventually ``unlink``.
+    Closes the local mapping.  After this call the *receiver* of the
+    segment's name owns it and must eventually ``unlink``; nothing in this
+    process unlinks it, even when the process exits.
     """
-    try:  # CPython keeps this private; degrade to a tracked segment if gone
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(seg._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:  # pragma: no cover - non-CPython fallback
-        pass
     seg.close()
 
 
-def attach(name: str) -> shared_memory.SharedMemory:
-    """Map an existing segment by name (consumer side; never registers)."""
-    return shared_memory.SharedMemory(name=name)
+def attach(name: str) -> Segment:
+    """Map an existing segment by name (consumer side)."""
+    return _open(name, os.O_RDWR)
 
 
 def discard(name: str) -> bool:
-    """Close-and-unlink a segment by name; ``False`` if already gone."""
+    """Unlink a segment by name; ``False`` if already gone."""
     try:
-        seg = shared_memory.SharedMemory(name=name)
+        _posixshmem.shm_unlink("/" + name)
     except FileNotFoundError:
         return False
-    seg.close()
-    seg.unlink()
     return True
 
 

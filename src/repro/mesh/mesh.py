@@ -101,6 +101,12 @@ class Mesh:
         )
         self.num_edges: int = int(self._edge_counts.sum())
 
+    def __reduce__(self):
+        # Ship only the defining parameters: everything else (strides, edge
+        # offsets, cached tables such as ``edge_endpoints``) derives from
+        # them and rebuilds faster than it pickles into every worker task.
+        return (_rebuild_mesh, (self.sides, self.torus))
+
     # ------------------------------------------------------------------
     # Basic identity / repr
     # ------------------------------------------------------------------
@@ -425,6 +431,11 @@ class Mesh:
         if not self.is_power_of_two_cube:
             raise ValueError("k is only defined for equal power-of-two sides")
         return int(math.log2(self.sides[0]))
+
+
+def _rebuild_mesh(sides: tuple[int, ...], torus: bool) -> Mesh:
+    """Unpickle a :class:`Mesh` from its defining parameters."""
+    return Mesh(sides, torus=torus)
 
 
 def pad_to_power_of_two(mesh: Mesh) -> Mesh:

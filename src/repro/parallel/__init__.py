@@ -32,7 +32,9 @@ Layout:
 * :mod:`~repro.parallel.worker` — the picklable block task/result types,
   the top-level worker functions and their telemetry collection;
 * :mod:`~repro.parallel.api` — :func:`route_sharded`, the entry point
-  behind ``Router.route`` for every route on the block plan.
+  behind ``Router.route`` for every route on the block plan, and its two
+  halves, ``block_tasks`` and ``fold_blocks``, through which the routing
+  service runs each request's blocks on its resident pool.
 
 Non-oblivious routers cannot be split (each path depends on every earlier
 one): ``Router.route`` never blocks them, and :func:`route_sharded`

@@ -58,8 +58,8 @@ class SerialExecutor:
     requested start method does not exist.  Because the sharding/merge
     math is identical, a serial run through this executor produces the
     same bytes as any process pool.  It speaks the :class:`WorkerPool`
-    protocol; nothing in-process crashes, so ``rebuild`` is never called,
-    and there are no workers to prewarm or list.
+    protocol; nothing in-process crashes, and there are no workers to
+    prewarm or list.
     """
 
     #: real process pools run shard tasks elsewhere; the serial executor
@@ -68,10 +68,10 @@ class SerialExecutor:
     is_process_pool = False
     worker_restarts = 0
 
-    def map(self, fn: Callable, tasks: Iterable, *, rebuild=None, release=None) -> list:
-        # rebuild/release: nothing in-process breaks, and in-process results
-        # own no resource to release when a later task raises
-        del rebuild, release
+    def map(self, fn: Callable, tasks: Iterable, *, release=None) -> list:
+        # in-process results own no resource to release when a later task
+        # raises
+        del release
         return [fn(t) for t in tasks]
 
     def prewarm(self) -> None:
@@ -141,10 +141,9 @@ class WorkerPool:
 
     ``context`` is a concrete start method (``"fork"`` or ``"spawn"``;
     see :func:`resolve_start_method`).  Tasks retried after a crash are
-    re-submitted *as given*; callers whose tasks embed consumed resources
-    (request shm segments) pass ``rebuild`` to :meth:`map` to regenerate
-    them per attempt.  With a ``profiler``, each rebuild counts
-    ``service.worker_restarts``.
+    re-submitted *as given*: a task is plain data, never a resource the
+    dead worker may have consumed.  With a ``profiler``, each restart
+    counts ``service.worker_restarts``.
     """
 
     is_process_pool = True
@@ -190,13 +189,13 @@ class WorkerPool:
         """
         self.map(_probe, [0.05] * self.workers)
 
-    def map(self, fn: Callable, tasks: Iterable, *, rebuild=None, release=None) -> list:
+    def map(self, fn: Callable, tasks: Iterable, *, release=None) -> list:
         """Ordered ``map`` with broken-pool recovery.
 
         On ``BrokenExecutor`` (a worker died): rebuild the pool, sweep the
         dead workers' orphaned segments, bump ``worker_restarts``, and
-        retry — with ``rebuild()``'s fresh tasks when given, else the same
-        tasks.  Raises after :data:`MAX_RETRIES` consecutive failures.
+        retry the same tasks.  Raises after :data:`MAX_RETRIES`
+        consecutive failures.
 
         When a task raises, the tasks not yet started are cancelled and the
         results of every task that completed are passed to ``release``
@@ -212,8 +211,6 @@ class WorkerPool:
                 if attempt >= MAX_RETRIES:
                     raise
                 self._restart(generation, _pids(pool))
-                if rebuild is not None:
-                    tasks = list(rebuild())
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _restart(self, generation: int, old_pids: tuple[int, ...]) -> None:
@@ -303,18 +300,16 @@ def resolve_start_method(workers: int, context: str = "auto") -> str:
     return resolved
 
 
-def make_executor(workers: int, *, context: str = "auto", warm_keys: tuple = ()):
+def make_executor(workers: int, *, warm_keys: tuple = ()):
     """An executor for ``workers`` shard processes.
 
     One worker gets the :class:`SerialExecutor`; more get a
     :class:`WorkerPool` whose workers warm the named decomposition cache
-    entries once at start-up.  ``context`` selects the start method:
-    ``"auto"`` (fork where it exists, else spawn), ``"fork"``,
-    ``"spawn"``, or ``"serial"``.  A concrete ``context`` the platform
-    lacks degrades to serial with a single :class:`RuntimeWarning` per
-    process.
+    entries once at start-up, on fork where it exists and spawn
+    elsewhere.  A platform with neither degrades to serial with a single
+    :class:`RuntimeWarning` per process.
     """
-    resolved = "serial" if workers <= 1 else resolve_start_method(workers, context)
+    resolved = "serial" if workers <= 1 else resolve_start_method(workers)
     if resolved == "serial":
         return SerialExecutor()
     return WorkerPool(workers, context=resolved, warm_keys=warm_keys)

@@ -38,7 +38,10 @@ def shard_bounds(n: int, workers: int) -> list[tuple[int, int]]:
         raise ValueError("n must be >= 0")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    edges = np.linspace(0, n, min(workers, max(n, 1)) + 1).astype(np.int64)
+    parts = min(workers, max(n, 1))
+    if parts == 1:  # the common one-block case, without numpy's fixed cost
+        return [(0, n)] if n else []
+    edges = np.linspace(0, n, parts + 1).astype(np.int64)
     return [
         (int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a
     ]

@@ -112,7 +112,8 @@ class ShardTask:
     budget: object | None = None
     #: ship the shard's CSR back through a shared-memory segment
     #: (:class:`~repro.core.pathset.SharedCSR`) instead of pickling the
-    #: arrays — set exactly when the shard runs in another process
+    #: arrays — set for the blocks of a route of several blocks that run
+    #: in another process (:func:`~repro.parallel.api.block_tasks`)
     use_shm: bool = False
 
 
@@ -121,9 +122,9 @@ class ShardResult:
     """One worker's routed shard, as raw picklable arrays + telemetry.
 
     Exactly one of (``nodes``/``offsets``, ``shared``) carries the CSR:
-    an in-process shard returns the arrays inline; a shard run on a worker
-    process parks them in a shared segment and ships only the
-    :class:`SharedCSR` handle, with segment ownership handed to the parent.
+    a task without ``use_shm`` returns the arrays inline; one with it
+    parks them in a shared segment and ships only the :class:`SharedCSR`
+    handle, with segment ownership handed to the parent.
     """
 
     offset: int

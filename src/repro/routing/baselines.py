@@ -283,11 +283,14 @@ class GreedyMinCongestionRouter(Router):
         seed: int | None = None,
         *,
         workers: int | None = 1,
+        packet_offset: int = 0,
         budget=None,
     ) -> RoutingResult:
         # Greedy routing is sequential by construction (each path sees the
-        # loads of every earlier one), so it cannot shard; ``workers`` is
-        # accepted for interface parity and always routes in-process.
+        # loads of every earlier one), so it cannot shard; ``workers`` and
+        # ``packet_offset`` are accepted for interface parity (a greedy
+        # route is always one task of every packet) and it always routes
+        # in-process.
         # ``budget`` likewise: the router draws no per-packet oblivious
         # randomness, so an active budget records every packet as unmetered
         # (the documented fallback mode) and never degrades anything.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable
 
 from repro.routing.base import Router
@@ -9,6 +10,7 @@ from repro.routing.base import Router
 __all__ = ["available_routers", "make_router", "oblivious_routers"]
 
 
+@cache  # built once: the imports are deferred only to break import cycles
 def _factories() -> dict[str, Callable[..., Router]]:
     from repro.core.compact import CompactHierarchicalRouter
     from repro.core.path_selection import HierarchicalRouter

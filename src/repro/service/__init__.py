@@ -4,12 +4,14 @@
 worker processes hold the decomposition cache resident, so a small
 routing request costs a warm dispatch instead of a pool boot plus a cold
 cache build.  A request goes out as soon as a dispatch thread is free,
-together with whatever queued behind it; a request the block plan would
-split shards across the same workers.  The workers are a
+together with whatever queued behind it, as the blocks of the block plan
+(:mod:`repro.parallel`) — one block for a small request, several for a
+large one, spread over the same workers.  The workers are a
 :class:`~repro.parallel.executor.WorkerPool` — the pool sharded routes
-use — kept for the daemon's lifetime.  Requests
-and results cross process boundaries through named shared-memory
-segments (:mod:`repro.core.shm`), never by pickling CSR arrays.
+use — kept for the daemon's lifetime.  A request's pairs travel in the
+task pickle.  A one-block request's paths come back in the task's reply;
+each block of a larger request comes back through a named shared-memory
+segment (:mod:`repro.core.shm`), so the merge holds one block at a time.
 
 Layering: ``core``/``routing``/``parallel`` know nothing about the
 service; the service composes them.  Clients talk the length-prefixed

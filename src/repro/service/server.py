@@ -2,29 +2,37 @@
 
 ``repro serve`` boots a :class:`RoutingService`: a listener thread
 accepts connections, a handler thread per connection speaks
-:mod:`repro.service.proto`, and routing requests wait on one queue.
-``max(2, workers)`` dispatch threads drain it: each takes the head
-request plus whatever is already waiting (at most :data:`MAX_BATCH`),
-with no deadline, and ships them as one task to a prewarmed
-:class:`~repro.parallel.executor.WorkerPool` — the same self-healing pool
-sharded routes run on, kept for the service's lifetime.  A lone request
-on an idle service goes out at once, alone; under load, the requests that
-queued behind busy dispatches share the next one.  Even one worker gets a
-real process (isolation, crash replacement); a ``serial`` or unavailable
-start method routes in-process instead.  A request the block plan would
-split — an oblivious router on more than
-:data:`~repro.routing.base.ROUTE_BLOCK` packets — skips the queue and
-shards across the warm workers via :func:`~repro.parallel.api.route_sharded`
-(with the pool injected, so no per-request pool boot there either).
+:mod:`repro.service.proto`, and routing requests wait on one queue.  The
+handler builds each request's mesh, problem, router and pool tasks
+before it joins the queue, so a malformed request gets its error reply
+at admission.  ``max(2, workers)`` dispatch threads drain the queue:
+each takes the head request plus whatever is already waiting (at most
+:data:`MAX_BATCH`), with no deadline.  A request's tasks are the blocks
+``Router.route(workers=1)`` would run
+(:func:`~repro.parallel.api.block_tasks`), which go out by ``map`` to a
+prewarmed :class:`~repro.parallel.executor.WorkerPool`, the same
+self-healing pool and the same
+:func:`~repro.parallel.worker.route_shard` task sharded routes use, kept
+for the service's lifetime.  The batch's one-block requests share one
+``map`` on the dispatch thread; each request of several blocks gets a
+``map`` on a thread of its own, so neither a small request nor the next
+batch waits for a large one's blocks.  Each request's slice of the
+replies folds into its own result
+(:func:`~repro.parallel.api.fold_blocks`). A lone request on an idle
+service goes out at once, alone; under load, the requests that queued
+behind busy dispatches share the next ``map``, and their blocks spread
+over the workers.  Even one worker gets a real process (isolation, crash
+replacement); a ``serial`` or unavailable start method routes in-process
+instead.
 
 Observability: the service profiler counts ``service.requests``,
 ``service.batches``, ``service.batched_requests``,
-``service.sharded_requests``, ``service.worker_restarts`` and
-``service.protocol_errors`` (malformed messages), observes
-``service.queue_depth`` (at admission), ``service.batch_size`` and
-``service.request_s`` (admission-to-reply latency), and brackets pool
-dispatches in the ``service.worker_batch`` / ``service.sharded`` stages.
-``op=stats`` returns a full snapshot.
+``service.sharded_requests`` (requests of more than one block),
+``service.worker_restarts`` and ``service.protocol_errors`` (malformed
+messages), observes ``service.queue_depth`` (at admission),
+``service.batch_size`` and ``service.request_s`` (admission-to-reply
+latency), and brackets each ``map`` in the ``service.worker_batch``
+stage.  ``op=stats`` returns a full snapshot.
 """
 
 from __future__ import annotations
@@ -38,31 +46,27 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 
-import numpy as np
-
 import repro.cache as cache
-from repro.core.pathset import PathSet
 from repro.core.randomness import resolve_entropy
+from repro.mesh.mesh import Mesh
 from repro.obs import Profiler
+from repro.parallel.api import block_tasks, fold_blocks
 from repro.parallel.executor import (
     SerialExecutor,
     WorkerPool,
     resolve_start_method,
     resolve_workers,
 )
-from repro.routing import base
+from repro.parallel.sharding import release_shard_result
+from repro.parallel.worker import route_shard
+from repro.routing.base import RoutingProblem, Router
 from repro.routing.registry import make_router
 from repro.service.proto import ProtocolError, recv_msg, send_msg
-from repro.service.shm import share_pairs
-from repro.service.worker import RouteRequest, route_request_batch
 
-__all__ = ["MAX_BATCH", "PAIRS_SHM_MIN", "RoutingService", "serve"]
+__all__ = ["MAX_BATCH", "RoutingService", "serve"]
 
-#: the most requests one dispatch ships to a worker
+#: the most requests one dispatch drains from the queue
 MAX_BATCH = 16
-#: a request of at least this many packets ships its pairs to the worker
-#: through a shared-memory segment instead of the task pickle
-PAIRS_SHM_MIN = 2048
 
 #: queued by stop(); each dispatch thread that takes it puts it back and exits
 _STOP = object()
@@ -74,20 +78,15 @@ class _RequestFailed(Exception):
 
 @dataclass
 class _RoutePayload:
-    """One admitted request: its parameters and the future of its reply."""
+    """One admitted request: its route, its pool tasks and the future of
+    its paths."""
 
-    sides: tuple
-    torus: bool
-    router: str
+    router: Router
+    problem: RoutingProblem
     entropy: int
-    sources: np.ndarray
-    dests: np.ndarray
+    tasks: list
     reply: Future = field(default_factory=Future)
     enqueued: float = field(default_factory=time.monotonic)
-
-    @property
-    def n(self) -> int:
-        return int(self.sources.size)
 
 
 def _parse_prewarm(spec: str):
@@ -104,11 +103,12 @@ def _parse_prewarm(spec: str):
 class RoutingService:
     """A persistent routing daemon on a unix socket.
 
-    Determinism guarantee: every request is routed with its own resolved
-    entropy and ``packet_offset=0`` — never merged into a batch-mate's
-    engine call — so the reply is byte-identical to
-    ``make_router(name).route(problem, seed)`` run locally, regardless of
-    batching, worker count, or crash/restart history.
+    Determinism guarantee: every request is routed on its own blocks,
+    with its own resolved entropy and its packets' own global indices —
+    never merged into a batch-mate's engine call — so the reply is
+    byte-identical to ``make_router(name).route(problem, seed)`` run
+    locally, regardless of batching, worker count, or crash/restart
+    history.
 
     ``request_timeout_s`` bounds how long a handler waits for its reply;
     past it the client gets an error and a late reply is dropped.
@@ -149,6 +149,8 @@ class RoutingService:
             )
             for _ in range(max(2, self.workers))
         ]
+        #: the threads routing requests of several blocks, joined at stop
+        self._large: set[threading.Thread] = set()
         self._sock: socket.socket | None = None
         self._stop = threading.Event()
         self._stop_lock = threading.Lock()
@@ -227,6 +229,10 @@ class RoutingService:
             self._queue.put(_STOP)
             for t in self._dispatchers:
                 t.join()
+        with self._admit_lock:  # no dispatch thread is left to add one
+            large = list(self._large)
+        for t in large:
+            t.join()
         self.pool.shutdown()
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
@@ -323,22 +329,21 @@ class RoutingService:
                 {"ok": False, "error": "route needs equal-length sources/dests"},
             )
             return
-        payload = _RoutePayload(
-            sides=tuple(int(s) for s in header.get("mesh", ())),
-            torus=bool(header.get("torus", False)),
-            router=str(header.get("router", "hierarchical")),
-            entropy=resolve_entropy(header.get("seed")),
-            sources=sources,
-            dests=dests,
-        )
         self.profiler.count("service.requests", 1)
-        # the block plan's rule (Router._plan): split exactly the routes
-        # it would split, and nothing a non-oblivious router asks for
-        if payload.n > base.ROUTE_BLOCK:
-            router = make_router(payload.router)
-            if router.is_oblivious:
-                self._route_sharded(conn, payload, router)
-                return
+        # validated here, so a bad request gets its error reply before it
+        # can reach the queue
+        sides = tuple(int(s) for s in header.get("mesh", ()))
+        torus = bool(header.get("torus", False))
+        mesh = cache.memo("mesh", (sides, torus), lambda: Mesh(sides, torus=torus))
+        router = make_router(str(header.get("router", "hierarchical")))
+        problem = RoutingProblem(mesh, sources, dests, name="service")
+        entropy = resolve_entropy(header.get("seed"))
+        payload = _RoutePayload(
+            router=router,
+            problem=problem,
+            entropy=entropy,
+            tasks=block_tasks(router, problem, entropy, self.pool),
+        )
         self.profiler.observe("service.queue_depth", self._queue.qsize())
         with self._admit_lock:
             if self._closing:
@@ -346,7 +351,7 @@ class RoutingService:
             else:
                 self._queue.put(payload)
         try:
-            reply = payload.reply.result(timeout=self.request_timeout_s)
+            paths = payload.reply.result(timeout=self.request_timeout_s)
         except FutureTimeout:
             # a queued request is never dispatched; a running one's late
             # reply lands on a future nobody reads
@@ -363,44 +368,11 @@ class RoutingService:
             conn,
             {
                 "ok": True,
-                "entropy": reply["entropy"],
-                "num_packets": reply["num_packets"],
-                "elapsed_s": reply["elapsed_s"],
-            },
-            {"nodes": reply["nodes"], "offsets": reply["offsets"]},
-        )
-
-    def _route_sharded(self, conn, payload: _RoutePayload, router) -> None:
-        """A request the block plan splits: shard it across the warm pool."""
-        from repro.mesh.mesh import Mesh
-        from repro.parallel.api import route_sharded
-        from repro.routing.base import RoutingProblem
-
-        t0 = time.perf_counter()
-        mesh = Mesh(payload.sides, torus=payload.torus)
-        problem = RoutingProblem(
-            mesh, payload.sources, payload.dests, name="service"
-        )
-        router.profiler = self.profiler
-        with self.profiler.stage("service.sharded"):
-            result = route_sharded(
-                router,
-                problem,
-                payload.entropy,
-                workers=self.workers,
-                executor=self.pool,
-            )
-        self.profiler.count("service.sharded_requests", 1)
-        self.profiler.observe("service.request_s", time.perf_counter() - t0)
-        send_msg(
-            conn,
-            {
-                "ok": True,
                 "entropy": payload.entropy,
-                "num_packets": problem.num_packets,
-                "elapsed_s": time.perf_counter() - t0,
+                "num_packets": payload.problem.num_packets,
+                "elapsed_s": time.monotonic() - payload.enqueued,
             },
-            {"nodes": result.paths.nodes, "offsets": result.paths.offsets},
+            {"nodes": paths.nodes, "offsets": paths.offsets},
         )
 
     def _dispatch_loop(self) -> None:
@@ -422,103 +394,97 @@ class RoutingService:
                 try:
                     self._dispatch_batch(live)
                 except Exception as exc:  # noqa: BLE001 - handlers must not hang
-                    msg = f"{type(exc).__name__}: {exc}"
-                    for p in live:
-                        if not p.reply.done():
-                            p.reply.set_exception(_RequestFailed(msg))
+                    _fail_running(live, exc)
             if stop:
                 return
 
     def _dispatch_batch(self, batch: list) -> None:
-        """Ship one batch to a warm worker; resolve every request's future."""
+        """Route one drained batch; resolve every request's future.
+
+        The one-block requests share one ``map`` in this thread.  Each
+        request of several blocks gets a ``map`` on a thread of its own, so
+        neither the small requests of its batch nor the next batch wait for
+        its blocks.
+        """
         self.profiler.count("service.batches", 1)
         self.profiler.count("service.batched_requests", len(batch))
         self.profiler.observe("service.batch_size", len(batch))
-        use_shm = self.pool.is_process_pool
-
-        def build() -> list[RouteRequest]:
-            reqs = []
-            for i, p in enumerate(batch):
-                pairs = None
-                sources, dests = p.sources, p.dests
-                if use_shm and p.n >= PAIRS_SHM_MIN:
-                    pairs = share_pairs(sources, dests)
-                    sources = dests = None
-                reqs.append(
-                    RouteRequest(
-                        req_id=i,
-                        sides=p.sides,
-                        torus=p.torus,
-                        router=p.router,
-                        entropy=p.entropy,
-                        sources=sources,
-                        dests=dests,
-                        pairs=pairs,
-                        reply_shm=use_shm,
-                    )
+        small = [p for p in batch if len(p.tasks) <= 1]
+        for p in batch:
+            if len(p.tasks) > 1:
+                t = threading.Thread(
+                    target=self._route_large, args=(p,), name="repro-large"
                 )
-            return reqs
-
-        reqs = build()
-
-        def rebuild() -> list:
-            # A retry after a worker crash must not reuse request segments
-            # the dead worker may have consumed — discard leftovers and
-            # park fresh ones.
-            nonlocal reqs
-            for r in reqs:
-                if r.pairs is not None:
-                    r.pairs.discard()
-            reqs = build()
-            return [reqs]
-
+                with self._admit_lock:
+                    self._large.add(t)
+                t.start()
         try:
-            with self.profiler.stage("service.worker_batch"):
-                replies = self.pool.map(
-                    route_request_batch, [reqs], rebuild=rebuild
-                )[0]
-        finally:
-            # Workers consume request segments as their first act; anything
-            # still linked here (crash before take, exhausted retries) is
-            # an orphan.  discard() is a no-op for consumed segments.
-            for r in reqs:
-                if r.pairs is not None:
-                    r.pairs.discard()
+            self._route_group(small)
+        except Exception as exc:  # noqa: BLE001 - handlers must not hang
+            if len(small) == 1:
+                _fail_running(small, exc)
+            # one request whose route raises must not fail its batch-mates
+            for p in small:
+                if p.reply.done():
+                    continue
+                try:
+                    self._route_group([p])
+                except Exception as exc:  # noqa: BLE001 - this request only
+                    _fail_running([p], exc)
 
-        by_id = {r.req_id: r for r in replies}
-        now = time.monotonic()
-        for i, p in enumerate(batch):
-            r = by_id.get(i)
-            if r is None or not r.ok:
-                error = r.error if r is not None else "no reply from worker"
-                p.reply.set_exception(_RequestFailed(error))
-                continue
-            if r.shared is not None:
-                # Attach promptly (the parent owns the segment from this
-                # instant), copy the CSR out, and release before the reply
-                # can escape to a handler thread — so the segment's
-                # lifetime never depends on who reads the reply when.
-                ps = PathSet.from_shared(r.shared)
-                nodes, offsets = np.array(ps.nodes), np.array(ps.offsets)
-                ps.close_shared(unlink=True)
-            else:
-                nodes, offsets = r.nodes, r.offsets
-            self.profiler.observe("service.request_s", now - p.enqueued)
-            p.reply.set_result(
-                {
-                    "entropy": r.entropy,
-                    "num_packets": r.num_packets,
-                    "elapsed_s": r.elapsed_s,
-                    "nodes": nodes,
-                    "offsets": offsets,
-                }
+    def _route_large(self, p: _RoutePayload) -> None:
+        try:
+            self._route_group([p])
+        except Exception as exc:  # noqa: BLE001 - handlers must not hang
+            _fail_running([p], exc)
+        finally:
+            with self._admit_lock:
+                self._large.discard(threading.current_thread())
+
+    def _route_group(self, group: list) -> None:
+        """Every request's blocks in one ``map``; fold each request's slice."""
+        if not group:
+            return
+        tasks: list = []
+        spans: list[slice] = []
+        for p in group:
+            spans.append(slice(len(tasks), len(tasks) + len(p.tasks)))
+            tasks += p.tasks
+        with self.profiler.stage("service.worker_batch"):
+            # a block that raises must not strand the replies of the blocks
+            # that completed: the pool hands those to release_shard_result
+            results = self.pool.map(
+                route_shard, tasks, release=release_shard_result
             )
+        folded = 0
+        try:
+            for p, span in zip(group, spans):
+                result = fold_blocks(p.router, p.problem, p.entropy, results[span])
+                folded = span.stop
+                if span.stop - span.start > 1:
+                    self.profiler.count("service.sharded_requests", 1)
+                self.profiler.observe(
+                    "service.request_s", time.monotonic() - p.enqueued
+                )
+                p.reply.set_result(result.paths)
+        finally:
+            # a fold that raised leaves later requests' replies unmerged
+            for r in results[folded:]:
+                release_shard_result(r)
 
 
 def _fail(payload: _RoutePayload, error: str) -> None:
     """Resolve a request no dispatch will take with an error reply."""
     if payload.reply.set_running_or_notify_cancel():
         payload.reply.set_exception(_RequestFailed(error))
+
+
+def _fail_running(batch: list, exc: Exception) -> None:
+    """Resolve the dispatched requests still unanswered with ``exc``."""
+    msg = f"{type(exc).__name__}: {exc}"
+    for p in batch:
+        if not p.reply.done():
+            p.reply.set_exception(_RequestFailed(msg))
 
 
 def serve(socket_path: str, **kwargs) -> RoutingService:

@@ -26,6 +26,7 @@ from repro.faults.model import FaultModel
 from repro.faults.router import FaultAwareRouter
 from repro.mesh.mesh import Mesh
 from repro.obs import Profiler
+from repro.parallel.api import block_tasks
 from repro.parallel.sharding import block_bounds, merge_shard_results
 from repro.parallel.worker import ShardResult
 from repro.routing import base
@@ -159,6 +160,38 @@ def test_non_oblivious_routers_are_never_blocked(monkeypatch):
     result = router.route(problem, 0, workers=1)
     assert len(result.paths) == 20
     assert "parallel.shards" not in router.profiler.snapshot()["counters"]
+
+
+class _ProcessPoolStub:
+    is_process_pool = True
+
+
+class TestBlockTasks:
+    """``block_tasks`` without bounds builds the ``route(workers=1)`` plan."""
+
+    def test_oblivious_route_gets_the_block_plan(self, monkeypatch):
+        monkeypatch.setattr(base, "ROUTE_BLOCK", BLOCK)
+        problem = random_pairs(Mesh((8, 8)), 2 * BLOCK + 3, seed=1)
+        tasks = block_tasks(make_router("hierarchical"), problem, 5, _ProcessPoolStub())
+        bounds = block_bounds(problem.num_packets, 1)
+        assert [t.offset for t in tasks] == [a for a, _ in bounds]
+        assert [t.problem.num_packets for t in tasks] == [b - a for a, b in bounds]
+        # the blocks of a route of several blocks come back through shm
+        assert all(t.use_shm for t in tasks)
+
+    def test_lone_block_comes_back_inline(self, monkeypatch):
+        monkeypatch.setattr(base, "ROUTE_BLOCK", BLOCK)
+        problem = random_pairs(Mesh((8, 8)), BLOCK, seed=1)
+        (task,) = block_tasks(make_router("hierarchical"), problem, 5, _ProcessPoolStub())
+        assert task.problem is problem and not task.use_shm
+
+    def test_non_oblivious_route_is_one_task_and_empty_is_none(self, monkeypatch):
+        monkeypatch.setattr(base, "ROUTE_BLOCK", BLOCK)
+        problem = random_pairs(Mesh((8, 8)), 2 * BLOCK + 3, seed=1)
+        (task,) = block_tasks(make_router("greedy-offline"), problem, 5, _ProcessPoolStub())
+        assert task.problem is problem and task.offset == 0
+        empty = RoutingProblem(Mesh((4, 4)), np.empty(0, np.int64), np.empty(0, np.int64))
+        assert block_tasks(make_router("hierarchical"), empty, 5, _ProcessPoolStub()) == []
 
 
 class TestStreamedMerge:

@@ -61,6 +61,18 @@ class TestConstruction:
         assert Mesh((4, 4)) != Mesh((4, 8))
         assert hash(Mesh((2, 2))) == hash(Mesh((2, 2)))
 
+    def test_pickle_ships_only_sides_and_torus(self):
+        import pickle
+
+        for mesh in (Mesh((8, 8)), Mesh((3, 4, 5), torus=True)):
+            mesh.edge_endpoints  # a cached table must not ride along
+            data = pickle.dumps(mesh)
+            back = pickle.loads(data)
+            assert back == mesh and back.torus == mesh.torus
+            assert back.num_edges == mesh.num_edges
+            assert np.array_equal(back.edge_endpoints, mesh.edge_endpoints)
+            assert len(data) < 200
+
     def test_edge_count_formula_mesh(self):
         # d-dim mesh edges: sum_i n/m_i * (m_i - 1)
         m = Mesh((3, 4, 5))

@@ -33,7 +33,13 @@ from repro.core.path_selection import HierarchicalRouter
 from repro.obs import Profiler
 from repro.parallel import executor as executor_mod
 from repro.parallel.api import route_sharded
-from repro.parallel.executor import SerialExecutor, make_executor, resolve_context
+from repro.parallel.executor import (
+    SerialExecutor,
+    WorkerPool,
+    make_executor,
+    resolve_context,
+    resolve_start_method,
+)
 from repro.routing.base import Router
 from repro.routing.registry import make_router
 
@@ -164,7 +170,7 @@ class TestPoolTeardown:
         bounds = sharding.block_bounds(problem.num_packets, 2)
         assert len(bounds) == 4
         router = MiddleBlockFailsRouter(fail_at=bounds[1][0])
-        pool = make_executor(2, context="fork")
+        pool = WorkerPool(2, context="fork")
         try:
             before = set(core_shm.active_segments())
             with pytest.raises(RuntimeError, match="middle block"):
@@ -196,7 +202,7 @@ class TestPoolTeardown:
         assert not _new_children(children)
 
     def test_injected_executor_is_not_shut_down(self):
-        pool = make_executor(2, context="fork")
+        pool = WorkerPool(2, context="fork")
         try:
             problem = _problem()
             router = make_router("hierarchical")
@@ -213,14 +219,14 @@ class TestSerialFallback:
             executor_mod.multiprocessing, "get_all_start_methods", lambda: []
         )
         with pytest.warns(RuntimeWarning, match="parallel.fallback_serial"):
-            ex = make_executor(4, context="fork")
+            ex = make_executor(4)
         assert isinstance(ex, SerialExecutor)
         # second request: same degradation, no second warning
         import warnings as _w
 
         with _w.catch_warnings():
             _w.simplefilter("error")
-            assert isinstance(make_executor(4, context="fork"), SerialExecutor)
+            assert isinstance(make_executor(4), SerialExecutor)
 
     def test_fallback_counts_and_stays_byte_identical(self, monkeypatch):
         monkeypatch.setattr(
@@ -251,9 +257,7 @@ class TestSerialFallback:
 
         with _w.catch_warnings():
             _w.simplefilter("error")
-            assert isinstance(
-                make_executor(4, context="serial"), SerialExecutor
-            )
+            assert resolve_start_method(4, "serial") == "serial"
 
     def test_resolve_context(self):
         assert resolve_context("serial") == "serial"
@@ -270,7 +274,7 @@ class TestSpawnContext:
         problem = _problem()
         router = make_router("hierarchical")
         serial = router.route(problem, 5)
-        pool = make_executor(2, context="spawn")
+        pool = WorkerPool(2, context="spawn")
         try:
             spawned = route_sharded(router, problem, 5, workers=2, executor=pool)
         finally:

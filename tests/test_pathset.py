@@ -386,6 +386,39 @@ class TestSharedMemory:
         assert desc.discard() is True
         assert desc.name not in core_shm.active_segments()
 
+    def test_copy_in_another_process_leaves_segment_linked(self):
+        """A consumer process that copies and exits must not take the
+        segment with it: attaching registers nothing that unlinks at exit."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.core import shm as core_shm
+
+        desc = self._sample().to_shared()
+        code = (
+            "import sys\n"
+            "from repro.core.pathset import PathSet, SharedCSR\n"
+            "name, k, m = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])\n"
+            "ps = PathSet.from_shared(SharedCSR(name, k, m), copy=True)\n"
+            "assert ps.nodes.tolist() == [0, 1, 2, 3, 7, 4, 5]\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        args = [str(desc.name), str(desc.num_paths), str(desc.num_nodes)]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *args],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "leaked" not in proc.stderr
+            assert desc.name in core_shm.active_segments()
+        finally:
+            desc.discard()
+
     def test_empty_pathset_roundtrip(self):
         empty = PathSet.from_paths([])
         desc = empty.to_shared()
@@ -431,7 +464,7 @@ class TestSharedMemory:
 
     def test_survives_producer_exit(self):
         """The hand-off: a segment created in a child process stays alive
-        (resource tracker unregistered) for the parent to consume."""
+        (no resource tracker unlinks it) for the parent to consume."""
         import multiprocessing as mp
 
         ctx = mp.get_context(

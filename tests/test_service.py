@@ -2,14 +2,14 @@
 
 The contract under test is the one ``docs/SERVICE.md`` documents: a
 request routed through ``repro serve`` is byte-identical to the same
-route run locally — regardless of batch composition, worker count,
-shared-memory transport, or worker crash/restart history — and a stopped
-service leaves nothing behind: no child processes, no ``/dev/shm``
-segments, no socket file.
+route run locally — regardless of batch composition, block count, worker
+count, or worker crash/restart history — and a stopped service leaves
+nothing behind: no child processes, no ``/dev/shm`` segments, no socket
+file.
 
-The dispatch tests run a ``context="serial"`` service whose
-``route_request_batch`` is gated, so every batch boundary they assert is
-set by the test, never by a clock.
+The dispatch tests gate the ``map`` that ships each drained batch's
+blocks to the pool, so every batch boundary they assert is set by the
+test, never by a clock.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import pytest
 from repro.cli import build_workload, parse_mesh
 from repro.core import shm as core_shm
 from repro.core.shm import sweep_worker_segments
+from repro.parallel.api import block_tasks
 from repro.parallel.executor import WorkerPool
 from repro.routing import base
 from repro.routing.registry import make_router
@@ -37,7 +38,6 @@ from repro.service import server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.proto import recv_msg
 from repro.service.server import RoutingService
-from repro.service.shm import SharedPairs, share_pairs
 from repro.workloads import random_pairs
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "path_hashes.json"
@@ -68,14 +68,12 @@ def _live_children() -> list[int]:
 def service(tmp_path_factory):
     """One warm daemon shared by the read-only tests of this module.
 
-    Its block size is 2,000 packets and requests of 32 packets or more
-    ship their pairs through shared memory, so small problems reach the
-    sharded and shared-pairs paths.
+    Its block size is 2,000 packets, so small problems reach the
+    multi-block path.
     """
     sock = str(tmp_path_factory.mktemp("svc") / "repro.sock")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(base, "ROUTE_BLOCK", 2000)
-        mp.setattr(server, "PAIRS_SHM_MIN", 32)
         svc = RoutingService(sock, workers=2, prewarm=("8x8",)).start()
         yield svc
         svc.stop()
@@ -159,7 +157,7 @@ class TestAdmissionEdges:
         assert r.paths.offsets.tolist() == [0]
 
     def test_oversized_request_shards_across_pool(self, service):
-        """A request above ``ROUTE_BLOCK`` skips the queue, shards across
+        """A request above ``ROUTE_BLOCK`` runs as several blocks across
         the pool, and still produces serial bytes."""
         mesh = parse_mesh("16x16")
         problem = random_pairs(mesh, 2500, seed=3)  # above ROUTE_BLOCK
@@ -284,19 +282,20 @@ def _wait_for(predicate, what: str, timeout: float = 30.0) -> None:
 
 
 class _GatedDispatch:
-    """Stands in for ``route_request_batch``: records each batch's size,
-    then holds the dispatch thread until the test releases a permit."""
+    """Wraps a service's ``pool.map``: records how many blocks each
+    drained batch ships, then holds the dispatch thread until the test
+    releases a permit."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, svc: RoutingService):
         self.sizes: list[int] = []
         self.permits = threading.Semaphore(0)
-        self._real = server.route_request_batch
-        monkeypatch.setattr(server, "route_request_batch", self)
+        self._real = svc.pool.map
+        svc.pool.map = self
 
-    def __call__(self, requests):
-        self.sizes.append(len(requests))
+    def __call__(self, fn, tasks, **kwargs):
+        self.sizes.append(len(tasks))
         self.permits.acquire()
-        return self._real(requests)
+        return self._real(fn, tasks, **kwargs)
 
     def release(self, n: int = 1 << 10) -> None:
         for _ in range(n):
@@ -306,16 +305,19 @@ class _GatedDispatch:
 class _Request(threading.Thread):
     """One client request on its own connection, run in the background."""
 
-    def __init__(self, sock: str, problem, seed: int):
+    def __init__(self, sock: str, problem, seed: int, router="hierarchical"):
         super().__init__(daemon=True)
         self.sock, self.problem, self.seed = sock, problem, seed
+        self.router = router
         self.result = self.error = None
         self.start()
 
     def run(self) -> None:
         try:
             with ServiceClient(self.sock) as client:
-                self.result = client.route(self.problem, seed=self.seed)
+                self.result = client.route(
+                    self.problem, router=self.router, seed=self.seed
+                )
         except Exception as exc:  # noqa: BLE001 - asserted by the test
             self.error = exc
 
@@ -337,11 +339,11 @@ def transpose8():
 
 class TestDispatch:
     def test_waiting_requests_go_out_as_one_capped_batch(
-        self, tmp_path, monkeypatch, transpose8
+        self, tmp_path, transpose8
     ):
-        gate = _GatedDispatch(monkeypatch)
         sock = str(tmp_path / "drain.sock")
         svc = RoutingService(sock, workers=2, context="serial").start()
+        gate = _GatedDispatch(svc)
         try:
             slots = len(svc._dispatchers)
             busy = _occupy_slots(sock, transpose8, gate, slots)
@@ -368,12 +370,12 @@ class TestDispatch:
             svc.stop()
 
     def test_lone_request_on_idle_service_goes_alone(
-        self, tmp_path, monkeypatch, transpose8
+        self, tmp_path, transpose8
     ):
-        gate = _GatedDispatch(monkeypatch)
-        gate.release()
         sock = str(tmp_path / "lone.sock")
         with RoutingService(sock, workers=2, context="serial") as svc:
+            gate = _GatedDispatch(svc)
+            gate.release()
             with ServiceClient(sock) as client:
                 client.route(transpose8, seed=1)
                 counters = client.stats()["profile"]["counters"]
@@ -383,11 +385,11 @@ class TestDispatch:
         assert counters["service.batched_requests"] == 1
 
     def test_stop_fails_queued_requests_and_joins_dispatchers(
-        self, tmp_path, monkeypatch, transpose8
+        self, tmp_path, transpose8
     ):
-        gate = _GatedDispatch(monkeypatch)
         sock = str(tmp_path / "stop.sock")
         svc = RoutingService(sock, workers=2, context="serial").start()
+        gate = _GatedDispatch(svc)
         slots = len(svc._dispatchers)
         busy = _occupy_slots(sock, transpose8, gate, slots)
         queued = [_Request(sock, transpose8, slots + s) for s in range(3)]
@@ -410,13 +412,13 @@ class TestDispatch:
         assert gate.sizes == [1] * slots
 
     def test_timed_out_request_gets_an_error_and_its_late_reply_is_dropped(
-        self, tmp_path, monkeypatch, transpose8
+        self, tmp_path, transpose8
     ):
-        gate = _GatedDispatch(monkeypatch)
         sock = str(tmp_path / "timeout.sock")
         svc = RoutingService(
             sock, workers=2, context="serial", request_timeout_s=0.2
         ).start()
+        gate = _GatedDispatch(svc)
         try:
             with ServiceClient(sock) as client:
                 with pytest.raises(
@@ -436,13 +438,13 @@ class TestDispatch:
             svc.stop()
 
     def test_request_that_times_out_while_queued_is_never_dispatched(
-        self, tmp_path, monkeypatch, transpose8
+        self, tmp_path, transpose8
     ):
-        gate = _GatedDispatch(monkeypatch)
         sock = str(tmp_path / "cancel.sock")
         svc = RoutingService(
             sock, workers=2, context="serial", request_timeout_s=0.2
         ).start()
+        gate = _GatedDispatch(svc)
         try:
             slots = len(svc._dispatchers)
             busy = _occupy_slots(sock, transpose8, gate, slots)
@@ -455,6 +457,146 @@ class TestDispatch:
             with ServiceClient(sock) as client:
                 client.route(transpose8, seed=9)
             assert gate.sizes == [1] * (slots + 1)
+        finally:
+            gate.release()
+            svc.stop()
+
+    def test_oversized_request_waits_in_the_queue_and_times_out(
+        self, tmp_path, monkeypatch
+    ):
+        """A request of several blocks goes through the one queue like any
+        other: held at the gate, its handler answers at
+        ``request_timeout_s`` instead of waiting on the blocks."""
+        monkeypatch.setattr(base, "ROUTE_BLOCK", 64)
+        problem = random_pairs(parse_mesh("8x8"), 200, seed=2)
+        sock = str(tmp_path / "big-timeout.sock")
+        svc = RoutingService(
+            sock, workers=2, context="serial", request_timeout_s=0.2
+        ).start()
+        gate = _GatedDispatch(svc)
+        try:
+            req = _Request(sock, problem, 3)
+            req.join(timeout=10)
+            assert isinstance(req.error, ServiceError)
+            assert "request timed out in the service" in str(req.error)
+            assert gate.sizes == [4]  # its four blocks, held at the gate
+        finally:
+            gate.release()
+            svc.stop()
+
+    def test_mixed_batch_routes_each_request_on_its_own_blocks(
+        self, tmp_path, monkeypatch, transpose8
+    ):
+        """One drained batch: a one-block request, a four-block request and
+        a large non-oblivious request (one task).  The two one-task
+        requests share one ``map`` on a real pool and the four blocks get
+        one of their own; each reply is its own local bytes."""
+        monkeypatch.setattr(base, "ROUTE_BLOCK", 64)
+        mesh = parse_mesh("8x8")
+        big = random_pairs(mesh, 200, seed=1)
+        whole = random_pairs(mesh, 100, seed=2)
+        sock = str(tmp_path / "mixed.sock")
+        svc = RoutingService(sock, workers=2).start()
+        gate = _GatedDispatch(svc)
+
+        def sharded(client) -> int:
+            counters = client.stats()["profile"]["counters"]
+            return counters.get("service.sharded_requests", 0)
+
+        try:
+            slots = len(svc._dispatchers)
+            busy = _occupy_slots(sock, transpose8, gate, slots)
+            with ServiceClient(sock) as client:
+                before = sharded(client)
+            mixed = [
+                _Request(sock, transpose8, 11),
+                _Request(sock, big, 12),
+                _Request(sock, whole, 13, router="greedy-offline"),
+            ]
+            _wait_for(lambda: svc._queue.qsize() == 3, "queued requests")
+            gate.release(1)
+            _wait_for(lambda: len(gate.sizes) == slots + 2, "the mixed batch")
+            assert sorted(gate.sizes[slots:]) == [1 + 1, 4]
+            gate.release()
+            for req in busy + mixed:
+                req.join(timeout=60)
+                assert req.error is None
+                nodes, offsets = _local_bytes(req.problem, req.router, req.seed)
+                assert req.result.paths.nodes.tobytes() == nodes
+                assert req.result.paths.offsets.tobytes() == offsets
+            with ServiceClient(sock) as client:
+                after = sharded(client)
+        finally:
+            gate.release()
+            svc.stop()
+        assert after == before + 1
+
+    def test_small_requests_do_not_wait_for_a_large_batch_mate(
+        self, tmp_path, monkeypatch, transpose8
+    ):
+        """A batch that drained a four-block request ahead of two one-block
+        requests answers the small ones, and frees its dispatch thread,
+        while the large one's blocks are still held."""
+        monkeypatch.setattr(base, "ROUTE_BLOCK", 64)
+        big = random_pairs(parse_mesh("8x8"), 200, seed=1)
+        svc = RoutingService(str(tmp_path / "hol.sock"), workers=2, context="serial")
+        hold = threading.Event()
+        real_map = svc.pool.map
+
+        def gated_map(fn, tasks, **kwargs):
+            if len(tasks) == 4:  # the large request's blocks
+                hold.wait(timeout=60)
+            return real_map(fn, tasks, **kwargs)
+
+        svc.pool.map = gated_map
+
+        def payload(problem, seed):
+            router = make_router("hierarchical")
+            tasks = block_tasks(router, problem, seed, svc.pool)
+            return server._RoutePayload(router, problem, seed, tasks)
+
+        batch = [payload(big, 1), payload(transpose8, 2), payload(transpose8, 3)]
+        for p in batch:
+            assert p.reply.set_running_or_notify_cancel()
+        try:
+            svc._dispatch_batch(batch)  # returns with the large route held
+            for p in batch[1:]:
+                nodes, offsets = _local_bytes(transpose8, "hierarchical", p.entropy)
+                assert p.reply.result(timeout=0).nodes.tobytes() == nodes
+                assert p.reply.result(timeout=0).offsets.tobytes() == offsets
+            assert not batch[0].reply.done()
+        finally:
+            hold.set()
+        nodes, offsets = _local_bytes(big, "hierarchical", 1)
+        assert batch[0].reply.result(timeout=60).nodes.tobytes() == nodes
+        svc.stop()  # joins the large route's thread
+        assert not svc._large
+        counters = svc.profiler.snapshot()["counters"]
+        assert counters["service.sharded_requests"] == 1
+
+    def test_request_whose_route_raises_fails_alone(self, tmp_path, transpose8):
+        """A route that raises in the pool fails its own request; the
+        batch-mate it shared a ``map`` with still gets its bytes."""
+        bad = build_workload("transpose", parse_mesh("6x6"), 0)
+        sock = str(tmp_path / "isolate.sock")
+        svc = RoutingService(sock, workers=2, context="serial").start()
+        gate = _GatedDispatch(svc)
+        try:
+            slots = len(svc._dispatchers)
+            busy = _occupy_slots(sock, transpose8, gate, slots)
+            failing = _Request(sock, bad, 1)
+            good = _Request(sock, transpose8, 2)
+            _wait_for(lambda: svc._queue.qsize() == 2, "queued requests")
+            gate.release()
+            for req in busy + [failing, good]:
+                req.join(timeout=60)
+            assert gate.sizes[slots] == 2  # they shared one batch
+            assert isinstance(failing.error, ServiceError)
+            assert "pad_to_power_of_two" in str(failing.error)
+            assert good.error is None
+            nodes, offsets = _local_bytes(transpose8, "hierarchical", 2)
+            assert good.result.paths.nodes.tobytes() == nodes
+            assert good.result.paths.offsets.tobytes() == offsets
         finally:
             gate.release()
             svc.stop()
@@ -493,22 +635,6 @@ class TestCrashRecovery:
         finally:
             pool.shutdown()
         assert not os.path.exists(sentinel)
-
-    def test_warmpool_rebuild_hook_regenerates_tasks(self, tmp_path):
-        sentinel = str(tmp_path / "die-once-2")
-        open(sentinel, "w").close()
-        calls = []
-
-        def rebuild():
-            calls.append(1)
-            return [sentinel]
-
-        pool = WorkerPool(2, context="fork")
-        try:
-            pool.map(_die_once_then_pid, [sentinel], rebuild=rebuild)
-        finally:
-            pool.shutdown()
-        assert calls == [1]
 
     def test_service_survives_worker_kill_byte_identical(self, tmp_path):
         """Kill a warm worker; the next request is retried on a fresh
@@ -565,18 +691,9 @@ class TestCrashRecovery:
 
 class TestLifecycleHygiene:
     def test_full_lifecycle_leaks_nothing(self, tmp_path, monkeypatch):
-        """Boot, route (batched + sharded + shm pairs), stop: no children,
+        """Boot, route (one block + several blocks), stop: no children,
         no segments, no socket file."""
         monkeypatch.setattr(base, "ROUTE_BLOCK", 500)
-        monkeypatch.setattr(server, "PAIRS_SHM_MIN", 16)
-        shared = []
-        real_share = server.share_pairs
-
-        def share_pairs_spy(sources, dests):
-            shared.append(sources.size)
-            return real_share(sources, dests)
-
-        monkeypatch.setattr(server, "share_pairs", share_pairs_spy)
         before_children = set(_live_children())
         before_segments = set(core_shm.active_segments())
         sock = str(tmp_path / "clean.sock")
@@ -590,11 +707,21 @@ class TestLifecycleHygiene:
             counters = client.stats()["profile"]["counters"]
         svc.stop()
         assert counters["service.sharded_requests"] == 1
-        assert shared == [small.num_packets]
         assert set(core_shm.active_segments()) - before_segments == set()
         assert not os.path.exists(sock)
         leaked = set(_live_children()) - before_children
         assert not leaked, f"service left children behind: {leaked}"
+
+    def test_sweep_targets_only_named_pids(self):
+        seg = core_shm.create_segment(32)
+        name = seg.name
+        core_shm.handoff(seg)
+        try:
+            assert sweep_worker_segments([999999999]) == []
+            assert name in core_shm.active_segments()
+            assert name in sweep_worker_segments([os.getpid()])
+        finally:
+            core_shm.discard(name)
 
     def test_stop_is_idempotent_and_blocking(self, tmp_path):
         sock = str(tmp_path / "stop.sock")
@@ -613,46 +740,3 @@ class TestLifecycleHygiene:
             time.sleep(0.05)
         assert not os.path.exists(sock)
         svc.stop()  # idempotent with the op-initiated stop
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory request transport units
-# ---------------------------------------------------------------------------
-
-class TestSharedPairs:
-    def test_roundtrip_consumes_segment(self):
-        s = np.arange(10, dtype=np.int64)
-        d = s[::-1].copy()
-        pairs = share_pairs(s, d)
-        assert pairs.name in core_shm.active_segments()
-        s2, d2 = pairs.take()
-        assert np.array_equal(s, s2) and np.array_equal(d, d2)
-        assert pairs.name not in core_shm.active_segments()
-        assert pairs.discard() is False  # already consumed
-
-    def test_discard_unconsumed(self):
-        pairs = share_pairs(
-            np.zeros(4, dtype=np.int64), np.ones(4, dtype=np.int64)
-        )
-        assert pairs.discard() is True
-        assert pairs.name not in core_shm.active_segments()
-
-    def test_sweep_targets_only_named_pids(self):
-        keep = share_pairs(
-            np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
-        )
-        try:
-            removed = sweep_worker_segments([999999999])
-            assert removed == []
-            assert keep.name in core_shm.active_segments()
-            removed = sweep_worker_segments([os.getpid()])
-            assert keep.name in removed
-        finally:
-            keep.discard()
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            share_pairs(
-                np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64)
-            )
-        assert SharedPairs("x", 5).nbytes == 80

@@ -6,12 +6,16 @@ in-process objects the unit tests use), routes a golden sample through a
 
 * any routed cell's CSR hash differs from the committed golden matrix
   (``tests/golden/path_hashes.json``);
+* a request above ``ROUTE_BLOCK`` packets, which the service routes as
+  several blocks across its workers, differs from the same route run
+  locally with ``route(workers=1)``;
 * the daemon exits non-zero or refuses a clean SIGTERM shutdown;
 * the run leaves shared-memory segments in ``/dev/shm`` (the ownership
   hand-off leaked), orphaned child processes, or a stale socket.
 
 Exit code 0 means the whole lifecycle — boot, warm pool, batched
-admission, shm hand-off, teardown — worked end to end.
+admission, multi-block requests, shm hand-off, teardown — worked end to
+end.
 
 Usage: ``PYTHONPATH=src python tools/service_smoke.py``
 """
@@ -33,7 +37,10 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.cli import parse_mesh  # noqa: E402
+from repro.routing.base import ROUTE_BLOCK  # noqa: E402
+from repro.routing.registry import make_router  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
+from repro.workloads import random_pairs  # noqa: E402
 from repro.workloads.permutations import transpose  # noqa: E402
 
 GOLDEN = REPO / "tests" / "golden" / "path_hashes.json"
@@ -41,6 +48,8 @@ GOLDEN = REPO / "tests" / "golden" / "path_hashes.json"
 #: with a plain (un-suffixed) router name, small enough for a smoke leg
 SAMPLE_MESH = "8x8"
 SAMPLE_ROUTERS = ("hierarchical", "access-tree", "dim-order", "valiant")
+#: packets of the multi-block request: two blocks of the block plan
+LARGE_PACKETS = ROUTE_BLOCK + 4000
 
 
 def cell_hash(result) -> str:
@@ -115,9 +124,22 @@ def main() -> int:
                                 f"hash mismatch {key}: {got[:12]} != {want[:12]}"
                             )
                         checked += 1
+                large = random_pairs(mesh, LARGE_PACKETS, seed=11)
+                via = cell_hash(client.route(large, router="hierarchical", seed=3))
+                counters = client.stats()["profile"]["counters"]
+            if counters.get("service.sharded_requests") != 1:
+                failures.append("the large request did not run as several blocks")
+            local = cell_hash(make_router("hierarchical").route(large, 3, workers=1))
+            if via != local:
+                failures.append(
+                    f"{LARGE_PACKETS}-packet request: {via[:12]} != {local[:12]}"
+                )
             if checked == 0:
                 failures.append("no golden cells matched the sample matrix")
-            print(f"routed {checked} golden cells via the service")
+            print(
+                f"routed {checked} golden cells and one {LARGE_PACKETS}-packet "
+                "request via the service"
+            )
 
             orphans = live_descendants(server.pid)
             server.send_signal(signal.SIGTERM)
