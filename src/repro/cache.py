@@ -273,20 +273,39 @@ def warm(keys, *, max_retries: int = 4) -> int:
     :func:`epoch` first and re-runs (up to ``max_retries`` times) whenever
     the epoch moved mid-pass, so on a clean return every key is resident.
     Under a sustained invalidation storm the last pass's count is returned
-    best-effort rather than livelocking.
+    best-effort rather than livelocking.  A key already resident costs one
+    lock-held lookup (:func:`_resident`); only a cold key builds its mesh.
     """
-    keys = list(keys)
+    keys = [(tuple(sides), bool(torus), scheme) for sides, torus, scheme in keys]
     cold = 0
     for _attempt in range(max_retries + 1):
         e0 = epoch()
         cold = 0
-        for sides, torus, scheme in keys:
+        for key in keys:
+            if _resident(key):
+                continue
+            sides, torus, scheme = key
             before = stats().misses
-            get_decomposition(Mesh(tuple(sides), torus=bool(torus)), scheme)
+            get_decomposition(Mesh(sides, torus=torus), scheme)
             cold += int(stats().misses > before)
         if epoch() == e0:
             break
     return cold
+
+
+def _resident(key: tuple) -> bool:
+    """Whether decomposition ``key`` is cached; a resident key is a hit.
+
+    One lock-held lookup, counted as :func:`get_decomposition` would count
+    it, so a warm worker's :func:`warm` builds no ``Mesh`` and reads no
+    :func:`stats`.
+    """
+    global _hits
+    with _lock:
+        if _enabled and ("decomposition", key) in _store:
+            _hits += 1
+            return True
+    return False
 
 
 def absorb_worker_stats(snapshot: CacheStats | dict) -> None:

@@ -201,23 +201,24 @@ def spawn_state(
     indices[k])).generate_state(n_words)`` word for word.  Everything up to
     the final spawn-key word is index-independent and computed once; only
     the four pool-mixing rounds of the index word and the output pass run
-    over the whole index array.
+    over the whole index array.  ``indices`` must be a one-dimensional
+    array of an integer dtype (not ``bool``) with values in ``[0, 2**32)``.
     """
     idx_in = np.asarray(indices)
     if idx_in.ndim != 1:
         raise ValueError("indices must be one-dimensional")
+    # A float index would truncate onto another packet's stream, and a bool
+    # or object array is no index array at all.
+    if not np.issubdtype(idx_in.dtype, np.integer):
+        raise ValueError(
+            f"packet indices must have an integer dtype, got {idx_in.dtype}"
+        )
     # Validate *before* the unsigned cast: a negative index would wrap to a
-    # huge uint64 and be rejected with a misleading width message (or, worse,
+    # huge value and be rejected with a misleading width message (or, worse,
     # slip through on platforms whose cast saturates).
-    if (
-        idx_in.size
-        and np.issubdtype(idx_in.dtype, np.signedinteger)
-        and int(idx_in.min()) < 0
-    ):
+    if idx_in.size and (int(idx_in.min()) < 0 or int(idx_in.max()) > _M32):
         raise ValueError("packet indices must fit in 32 bits and be non-negative")
-    idx = np.ascontiguousarray(idx_in, dtype=np.uint64)
-    if idx.size and int(idx.max()) > _M32:
-        raise ValueError("packet indices must fit in 32 bits and be non-negative")
+    idx = idx_in.astype(np.uint32)
     # Assembled entropy: root words padded to the pool size (spawn keys are
     # always present here), then one word per prefix element.  The per-index
     # word is appended by the vectorised rounds below.
@@ -245,29 +246,34 @@ def spawn_state(
             value, const = _hashmix_scalar(head[i_src], const)
             pool[i_dst] = _mix_scalar(pool[i_dst], value)
 
-    # Vectorised phase: mix the per-index word into each pool lane.  uint64
-    # wraparound then a 32-bit mask is exact mod-2^32 arithmetic.
-    lanes = np.empty((_POOL, idx.size), dtype=np.uint64)
+    # Vectorised phase: mix the per-index word into each pool lane.  Every
+    # array is uint32, whose arithmetic wraps mod 2^32 exactly as numpy's
+    # hash does; the index-independent products are folded in Python.
+    lanes = np.empty((idx.size, _POOL), dtype=np.uint32)
     for i_dst in range(_POOL):
-        value = (idx ^ np.uint64(const)) & np.uint64(_M32)
+        value = idx ^ np.uint32(const)
         const = (const * _MULT_A) & _M32
-        value = (value * np.uint64(const)) & np.uint64(_M32)
-        value ^= value >> np.uint64(_XSHIFT)
-        mixed = (
-            np.uint64(pool[i_dst]) * np.uint64(_MIX_L) - value * np.uint64(_MIX_R)
-        ) & np.uint64(_M32)
-        lanes[i_dst] = mixed ^ (mixed >> np.uint64(_XSHIFT))
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(_XSHIFT)
+        mixed = np.uint32((pool[i_dst] * _MIX_L) & _M32) - value * np.uint32(_MIX_R)
+        mixed ^= mixed >> np.uint32(_XSHIFT)
+        lanes[:, i_dst] = mixed
 
-    # Output pass (generate_state): cycle through the pool lanes.
-    out = np.empty((idx.size, n_words), dtype=np.uint32)
+    # Output pass (generate_state): word w hashes lane w % 4 with the w-th
+    # constant of the INIT_B / MULT_B sequence; each step is one pass over
+    # the (N, n_words) words, the lanes tiled out to that width first.
+    xor_by = np.empty(n_words, dtype=np.uint32)
+    mul_by = np.empty(n_words, dtype=np.uint32)
     const = _INIT_B
     for w in range(n_words):
-        value = lanes[w % _POOL] ^ np.uint64(const)
+        xor_by[w] = const
         const = (const * _MULT_B) & _M32
-        value = (value * np.uint64(const)) & np.uint64(_M32)
-        value ^= value >> np.uint64(_XSHIFT)
-        out[:, w] = value.astype(np.uint32)
-    return out
+        mul_by[w] = const
+    out = np.tile(lanes, (1, -(-n_words // _POOL)))[:, :n_words]
+    out ^= xor_by
+    out *= mul_by
+    out ^= out >> np.uint32(_XSHIFT)
+    return np.ascontiguousarray(out)
 
 
 def packet_uniforms(
@@ -286,12 +292,13 @@ def packet_uniforms(
     the whole sharding story.
     """
     # No unsigned pre-cast here: hand the raw indices to spawn_state so its
-    # sign/width validation sees them before any wraparound can occur.
-    words = spawn_state(entropy, indices, 2 * n_doubles, prefix).astype(np.uint64)
-    # generate_state(dtype=uint64) is the little-endian view of uint32
-    # pairs: low word first.
-    u64 = words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
-    return (u64 >> np.uint64(11)) * (2.0**-53)
+    # dtype, sign and width validation sees them before any cast.
+    words = spawn_state(entropy, indices, 2 * n_doubles, prefix)
+    # generate_state(dtype=uint64) pairs the uint32 words low word first:
+    # the bytes of the words read as little-endian uint64, on any host.
+    u64 = words.astype("<u4", copy=False).view("<u8")
+    u64 >>= np.uint64(11)
+    return u64 * (2.0**-53)
 
 
 def bits_for_range(extent: int) -> int:

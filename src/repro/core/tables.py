@@ -277,8 +277,8 @@ class SequenceTables:
 
         S = self.max_inner
         d = self.d
-        box_lo = np.broadcast_to(ct[:, None, :], (N, S, d)).copy()
-        box_len = np.ones((N, S, d), dtype=np.int64)
+        box_lo = np.empty((N, S, d), dtype=np.int64)
+        box_len = np.empty((N, S, d), dtype=np.int64)
         n_inner = np.where(alive, 2 * u + 1, 0)
         kernels.fill_box_chains(box_lo, box_len, cs, ct, u, blo, bhi, alive, self.k)
         return box_lo, box_len, n_inner

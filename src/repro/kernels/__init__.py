@@ -95,23 +95,37 @@ def assemble_paths(
     """Segmented-cumsum path assembly: unit steps -> flat node buffer.
 
     ``values``/``counts`` are the flattened per-(packet, subpath, dim)
-    signed strides and step counts; ``flat_s`` the per-packet source node
-    ids; ``lens``/``starts`` the per-packet node counts and output
-    offsets (``starts = exclusive cumsum of lens``, ``total = lens.sum()``).
-    Returns the ``int64[total]`` node buffer: path ``p`` occupies
-    ``[starts[p], starts[p] + lens[p])`` and integrates ``flat_s[p]``
-    through its repeated step values.
+    signed strides and step counts, the same number of entries for every
+    packet; ``flat_s`` the per-packet source node ids; ``lens``/``starts``
+    the per-packet node counts and output offsets (``starts = exclusive
+    cumsum of lens``, ``total = lens.sum()``).  Returns the
+    ``int64[total]`` node buffer: path ``p`` occupies ``[starts[p],
+    starts[p] + lens[p])`` and integrates ``flat_s[p]`` through its
+    repeated step values.
+
+    Jump anchoring: path ``p`` ends at ``end[p] = flat_s[p] + sum(values *
+    counts)`` over its entries, so one leading jump step ``flat_s[p] -
+    end[p - 1]`` (``flat_s[0]`` for the first path) carries a running sum
+    from the previous path's last node to this path's source.  The buffer
+    is then one ``np.repeat`` of the steps and one in-place ``cumsum``.
     """
     total = int(total)
-    # Built in place: the assembly temporaries set a route's peak memory.
-    nodes = np.zeros(total, dtype=np.int64)
-    mask = np.ones(total, dtype=bool)
-    mask[starts] = False
-    nodes[mask] = np.repeat(values, counts)
-    # Segmented integration: global cumsum, then re-anchor each segment to
-    # its source node.
+    N = flat_s.shape[0]
+    if N == 0:
+        return np.zeros(total, dtype=np.int64)
+    values = values.reshape(N, -1)
+    counts = counts.reshape(N, -1)
+    end = np.einsum("ij,ij->i", values, counts)
+    end += flat_s
+    steps = np.empty((N, values.shape[1] + 1), dtype=np.int64)
+    steps[:, 1:] = values
+    steps[:, 0] = flat_s
+    steps[1:, 0] -= end[:-1]
+    reps = np.ones(steps.shape, dtype=counts.dtype)
+    reps[:, 1:] = counts
+    nodes = np.repeat(steps.reshape(-1), reps.reshape(-1))
+    # In place: the node buffer sets a route's peak memory.
     np.cumsum(nodes, out=nodes)
-    nodes -= np.repeat(nodes[starts] - flat_s, lens)
     return nodes
 
 
@@ -299,34 +313,46 @@ def fill_box_chains(
     alive: np.ndarray,
     k: int,
 ) -> None:
-    """Scatter the bitonic ancestor chains + bridge into padded box arrays.
+    """Write the bitonic ancestor chains + bridge into padded box arrays.
 
-    Mutates ``box_lo``/``box_len`` (``(N, S, d)``, pre-filled with the
-    destination single-node padding) in place: per alive packet, slots
-    ``0..u-1`` get the source's type-1 ancestors at heights ``1..u``,
-    slot ``u`` the bridge box ``[blo, bhi]``, slots ``u+1..2u`` the
-    destination's ancestors at heights ``u..1``.  One masked scatter per
-    height and chain.
+    Fills ``box_lo``/``box_len`` (``(N, S, d)``) in place: per alive
+    packet (``0 <= u < k``, ``2u < S``), slots ``0..u-1`` get the source's
+    type-1 ancestors at heights ``1..u``, slot ``u`` the bridge box ``[blo,
+    bhi]``, slots ``u+1..2u`` the destination's ancestors at heights
+    ``u..1``.  Every other slot, and every slot of a dead packet, gets the
+    destination's single-node box, so the arrays need no pre-fill.
+
+    One pass per dimension, with no per-height loop: slot ``q`` of a
+    packet holds height ``h = max(u + 1 - |q - u|, 0)`` of the source's
+    chain when ``q < u`` and of the destination's otherwise (height 0, the
+    node itself, is the padding), i.e. the box ``c & -(1 << h)`` of side
+    ``1 << h``.  Both depend on ``u`` alone, so they come from ``(k + 1,
+    S)`` tables (the last row for dead packets) in one row gather.  The
+    bridge is then scattered once over slot ``u``.
     """
-    rows = np.arange(cs.shape[0])
-    # up chain: height j at slot j - 1
-    for j in range(1, int(k)):
-        mask = alive & (u >= j)
-        if not mask.any():
-            continue
-        box_lo[mask, j - 1] = (cs[mask] >> j) << j
-        box_len[mask, j - 1] = 1 << j
-    # bridge at slot u
-    if alive.any():
-        box_lo[rows[alive], u[alive]] = blo[alive]
-        box_len[rows[alive], u[alive]] = bhi[alive] - blo[alive] + 1
-    # down chain: height j at slot 2u + 1 - j
-    for j in range(1, int(k)):
-        mask = alive & (u >= j)
-        if not mask.any():
-            continue
-        box_lo[rows[mask], 2 * u[mask] + 1 - j] = (ct[mask] >> j) << j
-        box_len[rows[mask], 2 * u[mask] + 1 - j] = 1 << j
+    N, S, d = box_lo.shape
+    slot = np.arange(S)
+    u_row = np.arange(k + 1)[:, None]
+    height = np.maximum(u_row + 1 - np.abs(slot - u_row), 0)
+    height[k] = 0
+    from_dest = slot >= u_row
+    from_dest[k] = True
+    key = np.where(alive, u, k)
+    side = np.left_shift(1, height)[key]
+    mask = -side  # clears the low h bits
+    # Flat index into the per-dimension (N, 2) table of chain ends.
+    pick = from_dest[key] + np.arange(0, 2 * N, 2)[:, None]
+    ends = np.empty((N, 2), dtype=box_lo.dtype)
+    for j in range(d):
+        ends[:, 0] = cs[:, j]
+        ends[:, 1] = ct[:, j]
+        lo = ends.reshape(-1)[pick]
+        lo &= mask
+        box_lo[:, :, j] = lo
+        box_len[:, :, j] = side
+    rows = np.flatnonzero(alive)
+    box_lo[rows, u[rows]] = blo[rows]
+    box_len[rows, u[rows]] = bhi[rows] - blo[rows] + 1
 
 
 def count_loads(ids: np.ndarray, minlength: int) -> np.ndarray:

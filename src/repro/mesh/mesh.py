@@ -236,6 +236,51 @@ class Mesh:
         """Iterate over all flat node ids."""
         return iter(range(self.n))
 
+    @cached_property
+    def _edge_id_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(gap_row, table)``: the lookup tables behind :meth:`edge_ids`.
+
+        A pair ``(t, h)`` with ``lo = min(t, h)`` and gap ``a = |h - t|``
+        is a link of at most one *slot*: a plain link of a dimension with
+        ``m_i > 1`` (``a == strides[i]``) or, on a torus dimension with
+        ``m_i >= 3``, its wrap link (``a == (m_i - 1) * strides[i]``).
+        ``table`` holds one row of ``n`` entries per slot plus a last row
+        of ``-1``; entry ``lo`` of a slot's row is that link's edge id, or
+        ``-1`` when ``lo`` has no such link.  ``gap_row[a]`` is the flat
+        offset of gap ``a``'s row (the ``-1`` row for every gap that is no
+        slot's), so an edge id is ``table[gap_row[a] + lo]``.
+
+        Both are built once per mesh from the closed form in
+        :meth:`edge_ids`, vectorised over all nodes: ``O(d * n)`` entries,
+        ``int32`` when ``num_edges`` fits (``int64`` otherwise), plus the
+        ``int64[n]`` gap map.
+        """
+        n = self.n
+        lo = np.arange(n, dtype=np.int64)
+        gaps: list[int] = []
+        rows: list[np.ndarray] = []
+        for i, (m_i, s_i) in enumerate(zip(self.sides, self.strides.tolist())):
+            if m_i == 1:
+                continue
+            off = int(self.edge_offsets[i])
+            line = (lo // s_i) % m_i  # the coordinate along dimension i
+            ring = self.torus and m_i >= 3
+            plain = off + lo if ring else off + lo - (lo // (s_i * m_i)) * s_i
+            gaps.append(s_i)
+            rows.append(np.where(line < m_i - 1, plain, -1))
+            if ring:
+                gaps.append((m_i - 1) * s_i)
+                rows.append(np.where(line == 0, off + lo + (m_i - 1) * s_i, -1))
+        rows.append(np.full(n, -1, dtype=np.int64))
+        dtype = np.int32 if self.num_edges <= np.iinfo(np.int32).max else np.int64
+        table = np.concatenate(rows).astype(dtype)
+        gap_row = np.full(n, len(gaps) * n, dtype=np.int64)
+        for slot, gap in enumerate(gaps):
+            gap_row[gap] = slot * n
+        table.setflags(write=False)
+        gap_row.setflags(write=False)
+        return gap_row, table
+
     def edge_ids(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Dense undirected edge ids for node-id pairs ``(tails, heads)``.
 
@@ -246,7 +291,7 @@ class Mesh:
         mesh (or kept at ``m_i`` on the torus, where the wrap edge has
         lower-endpoint coordinate ``m_i - 1``).
 
-        The ids come in closed form from the flat ids alone.  With
+        The ids are defined by a closed form in the flat ids alone.  With
         ``lo = min(t, h)``, ``a = |h - t|`` and ``s_i = strides[i]``, for
         each dimension with ``m_i > 1``:
 
@@ -259,10 +304,12 @@ class Mesh:
           ``off_i + lo + (m_i - 1) * s_i``.
 
         Strides of dimensions with ``m_i > 1`` are distinct, so a pair meets
-        at most one of these conditions.
+        at most one of these conditions.  The per-mesh tables of
+        :attr:`_edge_id_tables` hold this formula for every ``(a, lo)``, so
+        a batch costs one gather into them.
 
-        Raises ``ValueError`` if any node id is outside ``[0, n)`` or any
-        pair is not a link.
+        Returns ``int64`` ids.  Raises ``ValueError`` if any node id is
+        outside ``[0, n)`` or any pair is not a link.
         """
         tails = np.asarray(tails, dtype=np.int64)
         heads = np.asarray(heads, dtype=np.int64)
@@ -275,40 +322,13 @@ class Mesh:
         if int(lo.min()) < 0 or int(gap.max()) >= self.n:
             raise ValueError("node id out of range")
         gap -= lo
-        ids = np.empty(lo.shape, dtype=np.int64)
-        claimed = 0
-        for i, (m_i, s_i) in enumerate(zip(self.sides, self.strides.tolist())):
-            if m_i == 1:
-                continue
-            off = int(self.edge_offsets[i])
-            ring = self.torus and m_i >= 3
-            sel = np.flatnonzero(gap == s_i)
-            if sel.size:
-                low = lo[sel]
-                line = low // s_i
-                above = line // m_i
-                line -= above * m_i  # now the coordinate along dimension i
-                if (line == m_i - 1).any():
-                    raise ValueError("some pairs are not mesh links")
-                if not ring:
-                    above *= s_i
-                    low -= above
-                low += off
-                ids[sel] = low
-                claimed += sel.size
-            if ring:
-                sel = np.flatnonzero(gap == (m_i - 1) * s_i)
-                if sel.size:
-                    low = lo[sel]
-                    if ((low // s_i) % m_i).any():
-                        raise ValueError("some pairs are not mesh links")
-                    ids[sel] = low + (off + (m_i - 1) * s_i)
-                    claimed += sel.size
-        # A pair meets at most one condition, so every pair is a link iff
-        # every pair was claimed.
-        if claimed != ids.size:
+        gap_row, table = self._edge_id_tables
+        idx = gap_row[gap]
+        idx += lo
+        ids = table[idx]
+        if int(ids.min()) < 0:
             raise ValueError("some pairs are not mesh links")
-        return ids
+        return ids.astype(np.int64, copy=False)
 
     def edge_id_to_endpoints(self, edge_id: int) -> tuple[int, int]:
         """Inverse of :meth:`edge_ids` for a single edge id."""

@@ -22,11 +22,11 @@ does the rest with a handful of numpy passes over *all* packets at once:
    by global index (never batch-local order) any shard split of the batch
    reproduces the serial bytes exactly (see :mod:`repro.parallel`).
 2. **assemble** — signed per-dimension deltas between waypoints, ordered
-   by ``argsort`` of the order uniforms, expanded to unit steps with one
-   ``np.repeat``, and integrated per packet with a segmented cumulative
-   sum.  No Python-level per-packet work.
-3. **cycles** — duplicate nodes are detected array-wise (sorted
-   ``segment * n + node`` keys); only the few offending paths go through
+   by the ``(u_k, k)`` ranks of the order uniforms, expanded to unit
+   steps with one ``np.repeat``, and integrated per packet with one
+   jump-anchored cumulative sum.  No Python-level per-packet work.
+3. **cycles** — with ``drop_cycles``, :func:`repro.kernels.decycle_paths`
+   loop-erases every path at once, equal per path to
    :func:`~repro.mesh.paths.remove_cycles`.
 
 :func:`repro.verify.oracles.oracle_route` replays the same protocol one
@@ -157,7 +157,11 @@ def build_waypoints(spec: BatchSpec, U_way: np.ndarray) -> np.ndarray:
 
 
 def resolve_orders(spec: BatchSpec, U_ord: np.ndarray | None) -> np.ndarray:
-    """Per-subpath dimension orderings ``(N, L, d)`` (broadcast views)."""
+    """Per-subpath dimension orderings ``(N, L, d)`` (broadcast views).
+
+    Each row of ``U_ord`` orders the dimensions by ``(u_k, k)``, the rule
+    of :func:`repro.verify.oracles.oracle_route`; see :func:`_rank_orders`.
+    """
     N, _, d = spec.box_lo.shape
     L = spec.num_subpaths
     if spec.dim_order == "fixed":
@@ -166,9 +170,37 @@ def resolve_orders(spec: BatchSpec, U_ord: np.ndarray | None) -> np.ndarray:
             dtype=np.int64,
         )
         return np.broadcast_to(base, (N, L, d))
-    orders = np.argsort(U_ord, axis=2)
+    orders = _rank_orders(U_ord)
     if spec.dim_order == "shared":
         return np.broadcast_to(orders, (N, L, d))
+    return orders
+
+
+def _rank_orders(U: np.ndarray) -> np.ndarray:
+    """Stable argsort of every length-``d`` row of ``U``, by ranks.
+
+    Dimension ``k``'s rank is the number of dimensions ``i`` with ``(u_i,
+    i) < (u_k, k)``: one comparison per pair of dimensions decides both
+    ranks, so ties go to the lower dimension by construction.  Position
+    ``r`` of the ordering is then the dimension whose rank is ``r``.  That
+    is ``O(d^2)`` elementwise passes over the ``(N, L)`` rows, each on a
+    narrow integer dtype, in place of a sort per row.
+    """
+    d = U.shape[-1]
+    rows = U.shape[:-1]
+    rank_t = np.min_scalar_type(d)
+    ranks = [np.zeros(rows, dtype=rank_t) for _ in range(d)]
+    for k in range(1, d):
+        for i in range(k):
+            before = U[..., i] <= U[..., k]  # (u_i, i) < (u_k, k)
+            ranks[k] += before
+            ranks[i] += ~before
+    orders = np.empty(U.shape, dtype=np.int64)
+    for r in range(d):
+        dim = np.zeros(rows, dtype=rank_t)
+        for k in range(1, d):
+            dim += (ranks[k] == r) * rank_t.type(k)
+        orders[..., r] = dim
     return orders
 
 

@@ -235,6 +235,31 @@ class TestEpochAndWarm:
         assert cache.warm([key]) == 1  # cold: built here
         assert cache.warm([key]) == 0  # resident now
 
+    def test_resident_key_is_one_counted_lookup(self, monkeypatch):
+        """A warm worker's warm() builds no Mesh and counts one hit per key,
+        as the get_decomposition call it replaces did."""
+        key = cache.warmup_key(Mesh((8, 8)))
+        assert cache.warm([key]) == 1
+        before = cache.stats()
+
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("warm() built a Mesh for a resident key")
+
+        monkeypatch.setattr(cache, "Mesh", no_mesh)
+        assert cache.warm([key, key]) == 0
+        after = cache.stats()
+        assert after.hits == before.hits + 2
+        assert after.misses == before.misses
+
+    def test_disabled_cache_warms_cold(self):
+        key = cache.warmup_key(Mesh((8, 8)))
+        cache.warm([key])
+        cache.configure(enabled=False)
+        try:
+            assert cache.warm([key]) == 1
+        finally:
+            cache.configure(enabled=True)
+
     def test_invalidate_during_warm_pass_triggers_repass(self, monkeypatch):
         """Deterministic interleaving: an invalidate() lands after warm()
         built its keys but before its epoch re-check.  The handshake must

@@ -9,6 +9,7 @@ from repro.core.tables import SequenceTables, bit_length
 from repro.mesh.mesh import Mesh
 from repro.mesh.paths import is_valid_path
 from repro.routing.base import RoutingProblem
+from repro.routing.engine import BatchSpec, resolve_orders
 from repro.routing.baselines import (
     AccessTreeRouter,
     DimensionOrderRouter,
@@ -249,3 +250,69 @@ class TestObliviousness:
         a = router.route(problem, seed=5)
         b = router.route(problem, seed=6)
         assert any(x.tobytes() != y.tobytes() for x, y in zip(a.paths, b.paths))
+
+
+class TestResolveOrders:
+    """Orderings sort each row's dimensions by ``(u_k, k)``, the oracle's
+    rule, so a tie always goes to the lower dimension."""
+
+    @staticmethod
+    def _spec(d, mode, N=40, S=3):
+        zeros = np.zeros((N, d), dtype=np.int64)
+        return BatchSpec(
+            mesh=Mesh((2,) * d),
+            coords_s=zeros,
+            coords_t=zeros,
+            box_lo=np.zeros((N, S, d), dtype=np.int64),
+            box_len=np.ones((N, S, d), dtype=np.int64),
+            dim_order=mode,
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("mode", ["random", "shared"])
+    def test_value_then_dimension_with_forced_ties(self, d, mode):
+        spec = self._spec(d, mode)
+        N, L = spec.num_packets, spec.num_subpaths
+        rows = L if mode == "random" else 1
+        rng = np.random.default_rng(10 * d + rows)
+        # Three distinct values per row at most: ties are everywhere.
+        U = rng.integers(0, 3, size=(N, rows, d)) / 4.0
+        U[0] = 0.5  # every dimension tied
+        U[1] = np.arange(d)[::-1] / 8.0  # strictly descending
+        orders = resolve_orders(spec, U)
+        assert orders.shape == (N, L, d)
+        assert orders.dtype == np.int64
+        for n in range(N):
+            for j in range(L):
+                vals = U[n, j if mode == "random" else 0].tolist()
+                want = sorted(range(d), key=lambda k: (vals[k], k))
+                assert orders[n, j].tolist() == want
+
+    def test_matches_stable_argsort_on_uniforms(self):
+        spec = self._spec(3, "random", N=500)
+        U = np.random.default_rng(0).random((500, spec.num_subpaths, 3))
+        U[::7, :, 2] = U[::7, :, 0]
+        want = np.argsort(U, axis=2, kind="stable")
+        np.testing.assert_array_equal(resolve_orders(spec, U), want)
+
+
+class TestBenchmarkScale:
+    """The golden cells stop at 16x16; this pins one route at the size of
+    the ``route-64x64`` benchmark (values recorded before the hot passes
+    were rewritten)."""
+
+    def test_route_64x64_bytes_and_congestion(self):
+        import hashlib
+
+        from repro.metrics.congestion import congestion
+
+        mesh = Mesh((64, 64))
+        problem = random_pairs(mesh, 16_384, seed=1)
+        result = HierarchicalRouter().route(problem, seed=1)
+        h = hashlib.sha256()
+        h.update(result.paths.nodes.tobytes())
+        h.update(result.paths.offsets.tobytes())
+        assert h.hexdigest() == (
+            "4f635ba52ff17fadbcde84ffc9020873ebdd4ac2d3955af5c8b7bafee2748dda"
+        )
+        assert congestion(mesh, result.paths) == 284

@@ -298,6 +298,110 @@ class TestEdgeIds:
             m.edge_id_to_endpoints(m.num_edges)
 
 
+#: meshes and tori with side-1 and side-2 dimensions, for the batch tests
+TABLE_SHAPES = [
+    ((1,), False),
+    ((1, 4), False),
+    ((2, 3), False),
+    ((2, 3), True),
+    ((4, 1, 3), False),
+    ((4, 1, 3), True),
+    ((2, 2, 2), True),
+    ((3, 1, 2, 5), False),
+    ((3, 1, 2, 5), True),
+]
+
+
+class TestEdgeIdBatches:
+    """``Mesh.edge_ids`` on whole batches, against the scalar inverse."""
+
+    @staticmethod
+    def _all_pairs(m, rng):
+        """Every edge once, in a shuffled order and a random orientation."""
+        ends = np.asarray(
+            [m.edge_id_to_endpoints(e) for e in range(m.num_edges)], dtype=np.int64
+        ).reshape(-1, 2)
+        order = rng.permutation(m.num_edges)
+        flip = rng.random(m.num_edges) < 0.5
+        tails = np.where(flip, ends[:, 1], ends[:, 0])[order]
+        heads = np.where(flip, ends[:, 0], ends[:, 1])[order]
+        return tails, heads, order
+
+    @pytest.mark.parametrize("sides,torus", TABLE_SHAPES)
+    def test_batch_matches_edge_id_to_endpoints(self, sides, torus):
+        m = Mesh(sides, torus=torus)
+        tails, heads, order = self._all_pairs(m, np.random.default_rng(len(sides)))
+        ids = m.edge_ids(tails, heads)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == order.tolist()
+        # A 2-D batch keeps its order in the flattened result.
+        if ids.size % 2 == 0 and ids.size:
+            grid = m.edge_ids(tails.reshape(2, -1), heads.reshape(2, -1))
+            assert grid.tolist() == order.tolist()
+
+    @pytest.mark.parametrize("sides,torus", TABLE_SHAPES)
+    def test_one_bad_pair_anywhere_raises(self, sides, torus):
+        m = Mesh(sides, torus=torus)
+        tails, heads, _ = self._all_pairs(m, np.random.default_rng(7))
+        links = {tuple(sorted(p)) for p in zip(tails.tolist(), heads.tolist())}
+        bad = [
+            (u, v)
+            for u in range(m.n)
+            for v in range(m.n)
+            if (min(u, v), max(u, v)) not in links
+        ][:: max(1, m.n // 3)]
+        for u, v in bad:
+            for at in {0, tails.size // 2, tails.size}:
+                t = np.insert(tails, at, u)
+                h = np.insert(heads, at, v)
+                with pytest.raises(ValueError, match="not mesh links"):
+                    m.edge_ids(t, h)
+        for u, v in ((-1, 0), (0, m.n)):
+            t = np.append(tails, u)
+            h = np.append(heads, v)
+            with pytest.raises(ValueError, match="out of range"):
+                m.edge_ids(t, h)
+
+    def test_equal_size_meshes_never_share_tables(self):
+        meshes = [
+            Mesh((4, 6)),
+            Mesh((6, 4)),
+            Mesh((24,)),
+            Mesh((4, 6), torus=True),
+            Mesh((6, 4), torus=True),
+            Mesh((2, 3, 4)),
+            Mesh((2, 3, 4), torus=True),
+        ]
+        assert {m.n for m in meshes} == {24}
+        rng = np.random.default_rng(3)
+        # Interleave the calls, so a table left over from one mesh would
+        # answer for the next.
+        for _ in range(2):
+            for m in meshes:
+                tails, heads, order = self._all_pairs(m, rng)
+                assert m.edge_ids(tails, heads).tolist() == order.tolist()
+        tables = [m._edge_id_tables[1] for m in meshes]
+        for i, a in enumerate(tables):
+            for b in tables[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        # Gap 5 is a wrap link of the 4x6 torus's rows and nothing else.
+        for m in meshes:
+            if m == Mesh((4, 6), torus=True):
+                assert m.edge_ids(np.asarray([0]), np.asarray([5])).size == 1
+            else:
+                with pytest.raises(ValueError):
+                    m.edge_ids(np.asarray([0]), np.asarray([5]))
+
+    def test_tables_are_narrow_and_read_only(self):
+        m = Mesh((8, 8), torus=True)
+        gap_row, table = m._edge_id_tables
+        assert table.dtype == np.int32
+        assert table.size == (2 * m.d + 1) * m.n
+        assert gap_row.size == m.n
+        assert not table.flags.writeable and not gap_row.flags.writeable
+        assert m._edge_id_tables is m._edge_id_tables
+
+
 class TestNetworkx:
     def test_graph_matches_mesh(self):
         m = Mesh((4, 4))

@@ -138,6 +138,66 @@ class TestSeedDerivation:
         with pytest.raises(ValueError, match="fit in 32 bits"):
             spawn_state(0, np.asarray([2**40], dtype=np.uint64), 4)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entropies,
+        st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6),
+        st.integers(1, 128),
+        st.lists(st.integers(0, 2**32 - 1), max_size=2),
+    )
+    def test_spawn_state_rows_match_numpy_at_every_width(
+        self, entropy, idx, n_words, prefix
+    ):
+        got = spawn_state(
+            entropy, np.asarray(idx, dtype=np.int64), n_words, tuple(prefix)
+        )
+        assert got.shape == (len(idx), n_words) and got.dtype == np.uint32
+        assert got.flags.c_contiguous
+        for row, i in zip(got, idx):
+            want = np.random.SeedSequence(
+                entropy, spawn_key=(*prefix, i)
+            ).generate_state(n_words)
+            np.testing.assert_array_equal(row, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entropies,
+        st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6),
+        st.integers(1, 64),
+        st.lists(st.integers(0, 2**32 - 1), max_size=2),
+    )
+    def test_packet_uniforms_rows_match_numpy_at_every_width(
+        self, entropy, idx, n, prefix
+    ):
+        got = packet_uniforms(
+            entropy, np.asarray(idx, dtype=np.uint64), n, tuple(prefix)
+        )
+        assert got.shape == (len(idx), n) and got.dtype == np.float64
+        for row, i in zip(got, idx):
+            ss = np.random.SeedSequence(entropy, spawn_key=(*prefix, i))
+            want = (ss.generate_state(n, dtype=np.uint64) >> 11) * 2.0**-53
+            np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([1.5]),
+            np.array([-0.5]),
+            np.array([1.0, 2.0]),
+            np.array([], dtype=np.float64),
+            np.array([True, False]),
+            np.array([1, 2], dtype=object),
+        ],
+        ids=[
+            "float", "negative-float", "whole-floats", "empty-float", "bool", "object"
+        ],
+    )
+    def test_non_integer_indices_are_rejected(self, bad):
+        """A float index would truncate onto another packet's stream."""
+        for fn in (spawn_state, packet_uniforms):
+            with pytest.raises(ValueError, match="integer dtype"):
+                fn(1, bad, 2)
+
     def test_boundary_index_matches_numpy(self):
         """The largest legal index, 2^32 - 1, still derives identically on
         the scalar and vectorised paths."""
