@@ -257,7 +257,7 @@ def run_kernels_experiment(
     wall = _time(lambda: kernels.decycle_paths(nodes, offsets))
     rows.append(
         {
-            "run": "decycle stage [packed-key row sort + one pointer chase]",
+            "run": "decycle stage [last-visit table + run chase]",
             "wall_s": round(wall, 4),
             "pkts/s": int(packets / wall),
         }

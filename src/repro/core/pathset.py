@@ -278,28 +278,27 @@ class PathSet(Sequence):
         return int(self.lengths.sum())
 
     # -- flat edge streams ---------------------------------------------
-    @property
-    def _edge_tail_idx(self) -> np.ndarray:
-        """Indices into ``nodes`` of every edge's tail (path-order)."""
-        if not hasattr(self, "_edge_tail_idx_"):
-            mask = np.ones(self.total_nodes, dtype=bool)
-            ends = self.offsets[1:] - 1
-            mask[ends[self.nodes_per_path > 0]] = False
-            self._edge_tail_idx_ = _frozen_owned(np.flatnonzero(mask))
-        return self._edge_tail_idx_
+    def _edge_streams(self) -> None:
+        """Cache :attr:`edge_tails` and :attr:`edge_heads`: every node but a
+        path's last is a tail, and the node after it the head."""
+        tail = np.ones(self.total_nodes, dtype=bool)
+        tail[self.offsets[1:][self.nodes_per_path > 0] - 1] = False
+        tail = tail[:-1]  # the last node always ends a path
+        self._edge_tails = _frozen_owned(self.nodes[:-1][tail])
+        self._edge_heads = _frozen_owned(self.nodes[1:][tail])
 
     @property
     def edge_tails(self) -> np.ndarray:
         """``int64[total_edges]``: tail node of every edge, path-major."""
         if not hasattr(self, "_edge_tails"):
-            self._edge_tails = _frozen_owned(self.nodes[self._edge_tail_idx])
+            self._edge_streams()
         return self._edge_tails
 
     @property
     def edge_heads(self) -> np.ndarray:
         """``int64[total_edges]``: head node of every edge, path-major."""
         if not hasattr(self, "_edge_heads"):
-            self._edge_heads = _frozen_owned(self.nodes[self._edge_tail_idx + 1])
+            self._edge_streams()
         return self._edge_heads
 
     @property

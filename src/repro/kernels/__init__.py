@@ -21,34 +21,34 @@ erasure has an equivalent **last-exit** characterisation::
 (when ``w[0]`` is seen again the stack rewinds to position 0, so only the
 walk *after its last visit* survives; no later rewind can cross below it
 because ``w[0]`` never reappears).  The last-exit form vectorises in two
-steps: a table of next pointers, then one lockstep pointer chase.
+steps with no per-path sort: a table of last visits, then a chase over
+runs.
 
-*Next pointers.*  ``nxt[g]`` is the stream position just after the last
-occurrence of ``nodes[g]`` in its path.  Paths are grouped into length
-classes, walked from the longest length down; adjacent lengths merge
-until a class holds ``MIN_CLASS_ROWS`` rows, so a small batch costs a
-class or two rather than one per distinct length.  Each class is a dense
-``(k, L)`` matrix, and a shorter row's padding slot ``c`` holds
-``min(ids, 0) - 1 - c``: distinct and below every node id, so padding
-never joins a run of real values.  Each row is sorted by the packed key
-``(value << b) | column`` with ``b = (L - 1).bit_length()``, in ``int32``
-when the id range allows and ``int64`` otherwise.  Every value becomes
-one run of ascending keys.  Because keys ascend along a sorted row, the
-nearest run end at or after a column holds the smallest run-end key
-there: a running minimum over the reversed row, with every other column
-set to the dtype's maximum, hands each column its run's end key, whose
-low ``b`` bits are the value's last column.  The result is scattered
-straight to the stream positions; padding goes to a sink slot.
+*Last visits.*  ``skip[g]`` is how far past position ``g`` the last visit
+of ``nodes[g]`` in its path lies; it is 0 at a last visit.  Ids first map
+to a dense range ``[0, span)``: minus their minimum when ``span = max -
+min + 1`` is at most the number of positions, by ``np.unique`` rank
+otherwise.  That one rule covers the engine's ids in ``[0, n)``,
+negative ids and ids across the whole ``int64`` range.  Paths then pass
+through one table in chunks of ``K = max(1, TABLE_CELLS // span)``:
+each position is keyed ``local path * span + id``, the chunk's positions
+are scattered into the table in ascending order, so every key keeps its
+last visit, and a gather reads it back.  numpy documents no order for
+repeated scatter indices, so the kernel checks the one it relies on: an
+earlier write that survived would read back below a later visit's
+position and leave a negative ``skip``, and the kernel raises.
 
-*One chase.*  Starting from every cyclic path's first position, the
-chase marks the position kept and follows ``nxt``, all paths in
-lockstep.  A chaser that runs past its path's end walks on through the
-next path's kept positions, and at the next compaction, every
-``CHASE_COMPACT`` rounds, it stands on a position already kept and is
-dropped.  The kept positions give the output nodes, and a
-``searchsorted`` of them against the input offsets gives the output
-offsets.  No per-path Python loop runs, and the work is O(total) plus a
-sort of each row.
+*A chase over runs.*  A position with ``skip == 0`` is kept and steps to
+the next position, so a chaser moves a run at a time.  A *stop* is a
+position with ``skip > 0`` or a path's last position.  Each non-empty
+path's chaser keeps the run from where it stands to the next stop (one
+``searchsorted`` over the stops), then jumps to ``stop + skip[stop] +
+1``, past the last visit of the node it stopped on, and retires once
+that passes its path's end.  A path takes one round more than the jumps
+it keeps, not one per position.  Per-path sums of run lengths give the output
+offsets, and the runs, sorted by start, expand with the gaps between
+them into the kept mask in one ``np.repeat``.  No per-path Python loop
+runs; the work is O(total) plus a few numpy calls per chunk of paths.
 
 Examples
 --------
@@ -129,118 +129,54 @@ def assemble_paths(
     return nodes
 
 
-#: a merged length class grows until it holds at least this many rows
-MIN_CLASS_ROWS = 32
-#: pointer-chase rounds between compactions of the active set
-CHASE_COMPACT = 8
+#: cells of the dense last-visit table, unless the id span alone is wider
+#: (then every chunk is one path; see :func:`_last_visits`)
+TABLE_CELLS = 1 << 18
 
 
-def _length_classes(lens, min_rows=1):
-    """Group path indices into length classes, longest first.
+def _last_visits(nodes, offsets):
+    """``skip[g]``: how far past ``g`` the last visit of ``nodes[g]`` in its
+    path lies (0 at a last visit).
 
-    Yields ``(L, rows)``: ``rows`` indexes paths of length at most ``L``,
-    and at least one of them has length exactly ``L``.  Distinct lengths
-    are walked from the longest down, and adjacent lengths merge into one
-    class until it holds ``min_rows`` rows (the shortest class may hold
-    fewer).  ``min_rows=1`` gives one class per distinct length.
-    """
-    order = np.argsort(lens, kind="stable")
-    sizes = lens[order]
-    edges = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()]
-    end = sizes.size
-    for i in range(len(edges) - 1, -1, -1):
-        start = edges[i]
-        if end - start >= min_rows or i == 0:
-            yield int(sizes[end - 1]), order[start:end]
-            end = start
-
-
-def _next_pointers(nodes, lens, starts):
-    """``(nxt, has_dup)``: the chase's pointer table (module docstring).
-
-    ``nxt[g]`` is the stream position after the last occurrence of
-    ``nodes[g]`` in its path, and ``has_dup[p]`` whether path ``p``
-    revisits a node.  ``nxt`` has one extra slot, ``total``, which
-    receives the padding's writes.
+    Ids map to a dense range ``[0, span)`` first: minus the minimum when
+    that range holds at most ``nodes.size`` ids, by ``np.unique`` rank
+    otherwise.  Chunks of ``K`` paths then key each position as ``local
+    path * span + id`` into one table of ``K * span`` cells; scattering the
+    chunk's positions in ascending order leaves each key's last visit in
+    the table, and a gather reads it back.  The keys are built in the
+    output array, which the gather overwrites chunk by chunk.
     """
     total = nodes.size
-    longest = int(lens.max())
-    b = max(longest - 1, 1).bit_length()
-    # Padding slot c of a class holds ``pad0 - c``: distinct, and below
-    # every node id, so padding never joins a run of real values.
-    pad0 = min(int(nodes.min()), 0) - 1
-    lo, hi = pad0 - longest, int(nodes.max())
-    narrow = (
-        total < 2**31 - 1
-        and lo << b >= -(2**31)
-        and (hi << b) | ((1 << b) - 1) < 2**31
-    )
-    kdt = np.int32 if narrow else np.int64
-    kmax = np.iinfo(kdt).max
-    values = nodes.astype(kdt, copy=False)
-    nxt = np.empty(total + 1, dtype=np.int32 if total < 2**31 - 1 else np.int64)
-    has_dup = np.zeros(lens.size, dtype=bool)
-    for L, rows in _length_classes(lens, MIN_CLASS_ROWS):
-        rl = lens[rows]
-        bits = (L - 1).bit_length()
-        mask = (1 << bits) - 1
-        cols = np.arange(L, dtype=kdt)
-        rs = starts[rows]
-        idx = rs[:, None] + cols
-        padded = int(rl[0]) != L  # rows ascend by length
-        if padded:
-            np.minimum(idx, total - 1, out=idx)
-            key = values[idx]
-            np.copyto(key, (pad0 - cols).astype(kdt), where=cols >= rl[:, None])
-        else:
-            key = values[idx]
-        # One key per (value, column): a plain row sort orders by value
-        # and, within a value, by column.
-        key <<= bits
-        key |= cols
-        key.sort(axis=1)
-        np.bitwise_and(key, mask, out=idx)  # sorted column -> original column
-        sv = key >> bits
-        same = sv[:, 1:] == sv[:, :-1]
-        has_dup[rows] = same.any(axis=1)
-        # Run-end fill: within a row the keys ascend, so the nearest run
-        # end at or after a column holds the smallest run-end key there,
-        # and its low bits are the value's last column.
-        np.copyto(key[:, :-1], kmax, where=same)
-        rev = key[:, ::-1]
-        np.minimum.accumulate(rev, axis=1, out=rev)
-        key &= mask
-        key += (rs + 1)[:, None].astype(kdt)
-        idx += rs[:, None]
-        if padded:
-            np.copyto(idx, total, where=idx >= (rs + rl)[:, None])
-        nxt[idx] = key
-    return nxt, has_dup
-
-
-def _kept_positions(nodes, lens, starts):
-    """``(kept, changed)``: the stream positions loop erasure keeps.
-
-    ``changed`` counts the cyclic paths; when it is 0, ``kept`` is None.
-    """
-    total = nodes.size
-    nxt, has_dup = _next_pointers(nodes, lens, starts)
-    changed = int(np.count_nonzero(has_dup))
-    if changed == 0:
-        return None, 0
-    nxt[total] = total  # the sink loops on itself
-    # One lockstep chase from every cyclic path's start marks the kept
-    # positions.  A chaser that runs past its path's end walks on through
-    # the next path's kept positions (or parks in the sink); it is dropped
-    # at the next compaction, where it stands on a position already kept.
-    kept = np.repeat(np.append(~has_dup, True), np.append(lens, 1))
-    cur = starts[has_dup]
-    while cur.size:
-        for _ in range(CHASE_COMPACT):
-            kept[cur] = True
-            cur = nxt[cur].astype(np.intp)
-        cur = cur[~kept[cur]]
-    return kept[:total], changed
+    dt = np.int32 if total < 2**31 else np.int64
+    lo = int(nodes.min())
+    span = int(nodes.max()) - lo + 1
+    if span <= total:
+        skip = np.empty(total, dtype=dt)
+        np.subtract(nodes, lo, out=skip, dtype=np.int64, casting="unsafe")
+    else:
+        uniq, inverse = np.unique(nodes, return_inverse=True)
+        skip = inverse.astype(dt)
+        span = uniq.size
+    lens = np.diff(offsets)
+    K = max(1, TABLE_CELLS // span)
+    # Keys stay below ``max(TABLE_CELLS, total)``, so they fit ``dt``.
+    skip += np.repeat((np.arange(lens.size) % K * span).astype(dt), lens)
+    bounds = offsets[::K].tolist()
+    if bounds[-1] != total:
+        bounds.append(total)
+    table = np.empty(K * span, dtype=dt)
+    ar = np.arange(np.diff(bounds).max(), dtype=dt)
+    for g0, g1 in zip(bounds[:-1], bounds[1:]):
+        seg = skip[g0:g1]
+        key = seg.astype(np.intp, copy=False)
+        pos = ar[: g1 - g0]
+        table[key] = pos
+        np.subtract(table[key], pos, out=seg)
+    # numpy documents no order for repeated scatter indices: an earlier
+    # write that survived reads back below a later visit's position.
+    if skip.min() < 0:
+        raise RuntimeError("the last-visit scatter did not keep the last write")
+    return skip
 
 
 def decycle_paths(
@@ -253,18 +189,48 @@ def decycle_paths(
     input arrays themselves are returned.  Per path the result equals
     :func:`repro.mesh.paths.remove_cycles` exactly — the scalar oracle
     :func:`repro.verify.oracles.oracle_remove_cycles` referees it.  The
-    output arrays are ``int64``; node ids shifted left by the bit length
-    of the longest path must fit in ``int64``.
+    output arrays are ``int64``; any ``int64`` ids are accepted.
     """
     if offsets.size == 1 or nodes.size == 0:
         return nodes, offsets, 0
-    # The pointer table is freed before the output is built (peak memory).
-    kept, changed = _kept_positions(nodes, np.diff(offsets), offsets[:-1])
-    if changed == 0:
+    skip = _last_visits(nodes, offsets)
+    jumps = np.flatnonzero(skip > 0)
+    if jumps.size == 0:
         return nodes, offsets, 0
-    pos = np.flatnonzero(kept)
-    out = nodes[pos].astype(np.int64, copy=False)
-    return out, np.searchsorted(pos, offsets).astype(np.int64, copy=False), changed
+    # A chaser keeps the run up to its next stop (a jump, or its path's
+    # last position, whose skip is 0), then jumps past the last visit of
+    # the node it stops on.
+    jumps = np.append(jumps, nodes.size)
+    lens = np.diff(offsets)
+    paths = np.flatnonzero(lens)
+    cur, end = offsets[paths], offsets[paths + 1]
+    out_lens = np.zeros(lens.size, dtype=np.int64)
+    firsts, lasts = [], []
+    while paths.size:
+        last = np.minimum(jumps[np.searchsorted(jumps, cur)], end - 1)
+        firsts.append(cur)
+        lasts.append(last)
+        out_lens[paths] += last + 1 - cur
+        cur = last + 1 + skip[last]
+        live = cur < end
+        paths, cur, end = paths[live], cur[live], end[live]
+    # Kept runs and the gaps between them, in stream order, expand into
+    # the kept mask with one repeat.
+    first = np.concatenate(firsts)
+    order = np.argsort(first)
+    first = first[order]
+    last = np.concatenate(lasts)[order]
+    runs = np.empty(2 * first.size + 1, dtype=np.int64)
+    runs[0] = first[0]
+    runs[1::2] = last + 1 - first
+    runs[2:-1:2] = first[1:] - last[:-1] - 1
+    runs[-1] = nodes.size - 1 - last[-1]
+    kept = np.zeros(runs.size, dtype=bool)
+    kept[1::2] = True
+    out = nodes[np.repeat(kept, runs)].astype(np.int64, copy=False)
+    out_offsets = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(out_lens, out=out_offsets[1:])
+    return out, out_offsets, int(np.count_nonzero(out_lens != lens))
 
 
 def bfs_parents(
@@ -363,24 +329,14 @@ def count_loads(ids: np.ndarray, minlength: int) -> np.ndarray:
 def node_loads_csr(nodes: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
     """Per-node visiting-path counts over a CSR collection.
 
-    A path visiting a node several times counts once for that node.  Paths
-    are grouped by exact length; one row-wise sort dedupes each group.
+    A path visiting a node several times counts once for that node: only
+    its last visit, where :func:`_last_visits` reads 0, is counted.
     """
     n = int(n)
-    counts = np.zeros(n, dtype=np.int64)
     if nodes.size == 0:
-        return counts
-    starts = offsets[:-1]
-    for length, rows in _length_classes(np.diff(offsets)):
-        if length == 0:
-            continue
-        idx = starts[rows][:, None] + np.arange(length, dtype=np.int64)
-        mat = np.sort(nodes[idx], axis=1)
-        first = np.empty(mat.shape, dtype=bool)
-        first[:, 0] = True
-        np.not_equal(mat[:, 1:], mat[:, :-1], out=first[:, 1:])
-        counts += np.bincount(mat[first], minlength=n)
-    return counts
+        return np.zeros(n, dtype=np.int64)
+    last = nodes[_last_visits(nodes, offsets) == 0]
+    return np.bincount(last, minlength=n).astype(np.int64, copy=False)
 
 
 def stretch_ratios(lengths: np.ndarray, dists: np.ndarray) -> np.ndarray:

@@ -297,9 +297,9 @@ class TestResolveOrders:
 
 
 class TestBenchmarkScale:
-    """The golden cells stop at 16x16; this pins one route at the size of
-    the ``route-64x64`` benchmark (values recorded before the hot passes
-    were rewritten)."""
+    """The golden cells stop at 16x16; these pin routes at the size of the
+    ``route-64x64`` benchmark and past it (values recorded before the hot
+    passes, and then the loop erasure, were rewritten)."""
 
     def test_route_64x64_bytes_and_congestion(self):
         import hashlib
@@ -316,3 +316,35 @@ class TestBenchmarkScale:
             "4f635ba52ff17fadbcde84ffc9020873ebdd4ac2d3955af5c8b7bafee2748dda"
         )
         assert congestion(mesh, result.paths) == 284
+
+    @pytest.mark.parametrize(
+        "shape, packets, digest, c",
+        [
+            # span > TABLE_CELLS: every last-visit chunk holds one path.
+            (
+                (1024, 1024),
+                256,
+                "5762bee0d40953a284226b980f3e7c15efbbb4ecee60b5513c69dd3c865bb09c",
+                4,
+            ),
+            (
+                (16, 16, 16),
+                4096,
+                "43c246bf32ab096178a830db63b1e639781ed5741505c94e548dfbad002eba46",
+                36,
+            ),
+        ],
+        ids=["1024x1024", "16x16x16"],
+    )
+    def test_wide_and_3d_routes_bytes_and_congestion(self, shape, packets, digest, c):
+        import hashlib
+
+        from repro.metrics.congestion import congestion
+
+        mesh = Mesh(shape)
+        result = HierarchicalRouter().route(random_pairs(mesh, packets, seed=1), seed=1)
+        h = hashlib.sha256()
+        h.update(result.paths.nodes.tobytes())
+        h.update(result.paths.offsets.tobytes())
+        assert h.hexdigest() == digest
+        assert congestion(mesh, result.paths) == c

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
@@ -46,8 +46,8 @@ def _case_assemble(rng):
 
 
 def _case_decycle(rng):
-    # Empty paths, lengths with one row or two (merged padded classes)
-    # and ids shifted negative or past the narrow key range.
+    # Empty paths, lengths with one row or two, and ids shifted negative
+    # or past the int32 range.
     lens = np.concatenate(([0, 0], rng.integers(0, 91, size=58)))
     rng.shuffle(lens)
     offsets = np.zeros(lens.size + 1, dtype=np.int64)
@@ -201,13 +201,44 @@ def test_decycle_large_mixed_length_batch():
     st.integers(0, 2**32 - 1),
 )
 def test_decycle_merged_length_classes(length_counts, alphabet, seed):
-    # Most lengths hold one to three rows, so the kernel pads rows of
-    # several lengths into one class; ids start at 0, next to the padding.
+    # Most lengths hold one to three rows; ids start at 0.
     lens = [n for n, count in length_counts for _ in range(count)]
-    classes = kernels._length_classes(np.asarray(lens), kernels.MIN_CLASS_ROWS)
-    assume(any(len(set(np.asarray(lens)[rows].tolist())) > 2 for _, rows in classes))
     rng = np.random.default_rng(seed)
     _check_decycle([rng.integers(0, alphabet, size=n).tolist() for n in lens])
+
+
+@pytest.mark.parametrize("cells", [1, 5, 64])
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=14),
+    st.integers(1, 12),
+    st.sampled_from([1, 7, 2**40]),
+    st.integers(-(2**20), 2**20),
+    st.integers(0, 2**32 - 1),
+)
+def test_decycle_small_tables(cells, lens, alphabet, stride, shift, seed):
+    # A tiny TABLE_CELLS gives several chunks, one path a chunk (K = 1),
+    # a partial last chunk, span > TABLE_CELLS, and a path longer than the
+    # table.  Ids spread by 2**40 span more values than there are
+    # positions and take the np.unique rank; a stride of 7 leaves most
+    # table cells unused.  Empty and one-node rows sit beside cyclic ones.
+    rng = np.random.default_rng(seed)
+    paths = [(rng.integers(0, alphabet, size=n) * stride + shift).tolist() for n in lens]
+    paths += [[], [shift], [shift, shift + stride, shift]]
+    paths.append((rng.integers(0, alphabet, size=80) * stride + shift).tolist())
+    rng.shuffle(paths)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "TABLE_CELLS", cells)
+        _check_decycle(paths)
+
+
+def test_decycle_ids_across_the_whole_int64_range():
+    # One batch whose id span, 2**64, does not fit in int64.
+    _check_decycle([
+        [2**62, 2**62 + 1, 2**62, 2**62 + 2],
+        [-(2**62), 5, -(2**62), 7, 5, 9],
+        [2**63 - 1, -(2**63), 2**63 - 1],
+    ])
 
 
 @pytest.mark.parametrize("shift", [2**40 - 7, -(2**40), -8])
@@ -284,6 +315,31 @@ def test_node_loads_kernel_matches_python_sets(seed):
         for v in set(nodes[offsets[p]:offsets[p + 1]].tolist()):
             want[v] += 1
     np.testing.assert_array_equal(kernels.node_loads_csr(nodes, offsets, n), want)
+
+
+@pytest.mark.parametrize("cells", [1, 5, 1 << 18])
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 15), max_size=20), min_size=1, max_size=10),
+    st.sampled_from([1, 4099]),
+)
+def test_node_loads_counts_each_path_once(cells, raw_paths, stride):
+    # Empty paths, revisits, and (stride 4099) ids too sparse for a
+    # shifted table, which take the np.unique rank.
+    paths = [[v * stride for v in p] for p in raw_paths]
+    n = 16 * stride
+    want = np.zeros(n, dtype=np.int64)
+    for p in paths:
+        for v in set(p):
+            want[v] += 1
+    offsets = np.zeros(len(paths) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in paths], out=offsets[1:])
+    nodes = np.asarray([v for p in paths for v in p], dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "TABLE_CELLS", cells)
+        got = kernels.node_loads_csr(nodes, offsets, n)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=40)
