@@ -239,10 +239,21 @@ class PathSet(Sequence):
 
     @classmethod
     def from_paths(cls, paths: "PathSet" | Iterable[np.ndarray]) -> "PathSet":
-        """Convert a list of per-path node arrays (idempotent on PathSet)."""
+        """Convert a list of per-path node arrays (idempotent on PathSet).
+
+        Raises ``ValueError`` on a non-empty float, bool or object node
+        array: casting it would route a truncated or made-up path.
+        """
         if isinstance(paths, PathSet):
             return paths
-        parts = [np.asarray(p, dtype=np.int64).reshape(-1) for p in paths]
+        parts = []
+        for p in paths:
+            raw = np.asarray(p)
+            if raw.size and not np.issubdtype(raw.dtype, np.integer):
+                raise ValueError(
+                    f"path nodes must have an integer dtype, got {raw.dtype}"
+                )
+            parts.append(raw.astype(np.int64, copy=False).reshape(-1))
         lengths = np.asarray([p.size for p in parts], dtype=np.int64)
         nodes = (
             np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

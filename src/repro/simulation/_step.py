@@ -2,30 +2,48 @@
 
 :func:`~repro.simulation.scheduler.simulate` and
 :func:`~repro.simulation.online.simulate_online` call
-:meth:`StepCore.advance` once per step:
+:meth:`StepCore.advance` once per step.
 
-1. **gate** — packet ``i`` requests its next edge once ``step >=
-   not_before[i]``, a value set by ``random-delay`` start delays and by
-   the fault backoff (a blocked packet has passed its delay already);
+**State.**  The packets inside the network occupy *slots*: compact
+arrays aligned with the in-network set, in ascending packet order
+(packets enter in index order, directly or FIFO through admission, and
+slots are only ever appended or compacted in order).  Slot ``s`` holds
+the packet id ``pid``, its cursor ``at`` and ``end`` into the edge
+buffer ``eids`` (the packet's remaining edges are ``eids[at : end]``),
+its priority ``key`` and the edge ``req`` it requests.  No step gathers
+a packet-indexed array over the in-network set.
+
+**Fixed keys.**  A key changes only when its packet moves or reroutes:
+``(at - end) * N + pid`` for ``farthest-first`` (``N`` the packet count:
+most remaining hops first, ties to the lower packet index — a move adds
+``N``), and ``pid`` for ``fifo`` / ``random-delay``.  ``random`` draws
+``rng.permutation(n)`` over the ``n`` requests of each step, in
+ascending packet order.
+
+**Parked slots.**  A slot that does not request an edge this step sits on
+the sentinel edge slot ``park`` (one past the last edge), whose per-edge
+minimum is pinned below every key, so it never wins.  A waiting slot
+(a ``random-delay`` start delay, a fault backoff) keeps its wake-up step
+in ``wait`` and returns to its edge at that step; a finished or dropped
+slot stays parked until parked slots pass ``COMPACT_SHARE`` of the set,
+when one pass compacts them away.
+
+Each step then runs:
+
+1. **gate** — waiting slots whose step has come request their edge again;
 2. **faults** — a request for a dead edge blocks and waits ``2 **
    min(retries - 1, backoff_cap)`` steps; after ``max_retries`` blocks
    the caller's ``reroute`` callback gives a path from the current node,
    or ``None`` (or one node, when a path that revisits its destination
    blocks there): drop on a non-repairing model, wait on a repairing one;
-3. **contention** — each of the ``n`` requests gets a distinct ``int64``
-   key and the smallest key per edge moves: one ``np.minimum.at`` into an
-   edge-sized buffer, then only the winners are sorted, by edge, so
-   ``finished`` comes out in edge order.  With ``j`` the request's
-   position in the ascending packet order, the key is ``-(remaining
-   hops) * n + j`` for ``farthest-first`` (ties go to the lower packet
-   index), the ``rng.permutation`` value for ``random``, and the packet
-   index for ``fifo`` / ``random-delay``.
+   a reroute re-keys the packet;
+3. **contention** — one ``np.minimum.at`` of the keys into an edge-sized
+   buffer and one compare find the smallest key per edge; only those
+   winners move, and only the finished ones are sorted, by edge, so
+   ``finished`` comes out in edge order.
 
-In-network packets form an ascending index array (they enter in index
-order, directly or FIFO through admission).  Packet ``i``'s remaining
-edges are ``eids[at[i] : end[i]]``; a move advances the cursor ``at[i]``,
-and a reroute appends to the edge buffer (doubling it when full) and
-repoints the slice.
+A reroute appends to the edge buffer (doubling it when full) and
+repoints the slot's cursor.
 """
 
 from __future__ import annotations
@@ -36,6 +54,15 @@ from repro.mesh.mesh import Mesh
 from repro.simulation.admission import AdmissionState
 
 _NO_KEY = np.iinfo(np.int64).max
+#: ``wait`` of a slot that is not waiting (requesting, finished or dropped)
+_NEVER = np.iinfo(np.int64).max
+#: parked slots are compacted away once they pass this share of the slots
+COMPACT_SHARE = 0.25
+#: the largest ``backoff_cap``: ``2 ** 62`` steps is the top int64 power of two
+MAX_BACKOFF_CAP = 62
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.setflags(write=False)
 
 
 class StepCore:
@@ -43,10 +70,15 @@ class StepCore:
 
     ``eids`` holds every packet's edges back to back, ``nedges[i]`` of
     them for packet ``i``; it is never written (the first reroute moves
-    it into a private buffer).  With a ``faults`` model, ``cur`` /
-    ``dests`` are the packets' start and destination nodes and
-    ``reroute(cur, dest, step, alive)`` returns a fresh node path or
-    ``None``; without one they are ignored.
+    it into a private buffer).  ``not_before`` gives per-packet start
+    delays.  With a ``faults`` model, ``cur`` / ``dests`` are the
+    packets' start and destination nodes and ``reroute(cur, dest, step,
+    alive)`` returns a fresh node path or ``None``; without one they are
+    ignored.  With ``track_queue``, ``max_queue`` keeps the most requests
+    any edge got in one step.
+
+    Raises ``ValueError`` for a negative ``max_retries`` or a
+    ``backoff_cap`` outside ``[0, MAX_BACKOFF_CAP]``.
     """
 
     def __init__(
@@ -66,31 +98,49 @@ class StepCore:
         backoff_cap: int,
         profiler,
         admission,
+        track_queue: bool = False,
     ):
-        num = nedges.size
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
+        if not 0 <= backoff_cap <= MAX_BACKOFF_CAP:
+            raise ValueError(
+                f"backoff_cap must be in [0, {MAX_BACKOFF_CAP}], got {backoff_cap!r}"
+            )
+        self.num = int(nedges.size)
         self.mesh = mesh
         self.eids = eids
         self.used = int(eids.size)
-        self.end = np.cumsum(nedges, dtype=np.int64)
-        self.at = self.end - nedges
-        #: per-edge minimum request key of the step; ``_NO_KEY`` between steps
-        self.best = np.full(mesh.num_edges, _NO_KEY, dtype=np.int64)
+        self.stop = np.cumsum(nedges, dtype=np.int64)
+        self.start = self.stop - nedges
+        self.park = mesh.num_edges
+        #: per-edge minimum request key of the step; ``_NO_KEY`` between
+        #: steps, and below every key on the ``park`` slot
+        self.best = np.full(self.park + 1, _NO_KEY, dtype=np.int64)
+        self.best[self.park] = np.iinfo(np.int64).min
         self.policy = policy
         self.rng = rng
+        self.delays = not_before
         self.faults = faults
         self.profiler = profiler
+        # slot-aligned state; ``wait`` only when a packet can wait
+        self.pid = self.at = self.end = self.key = self.req = _EMPTY
+        self.wait = self.cur = self.retries = None
+        if not_before is not None or faults is not None:
+            self.wait = _EMPTY
         if faults is not None:
             self.reroute = reroute
-            self.cur = np.array(cur, dtype=np.int64)
+            self.sources = cur
             self.dests = dests
-            self.retries = np.zeros(num, dtype=np.int64)
+            self.cur = self.retries = _EMPTY
             self.max_retries = max_retries
             self.backoff_cap = backoff_cap
-            if not_before is None:
-                not_before = np.zeros(num, dtype=np.int64)
-        self.not_before = not_before
+            self.ends_sum = mesh.edge_endpoints.sum(axis=1)
+            self.alive = np.ones(self.park + 1, dtype=bool)
+        self.wake_at = _NEVER
+        self.live = 0  # slots of packets still in the network
+        self.parked = 0  # slots of finished or dropped packets
+        self.max_queue = 0 if track_queue else None
         self.blocked_steps = self.reroutes = self.dropped = 0
-        self.active = np.empty(0, dtype=np.int64)
         self.adm = AdmissionState(admission) if admission is not None else None
 
     @property
@@ -101,7 +151,7 @@ class StepCore:
     def enter(self, fresh: np.ndarray) -> None:
         """Newly born packets (ascending, above every earlier index)."""
         if self.adm is None:
-            self.active = np.concatenate((self.active, fresh))
+            self._append(fresh)
         else:
             self.adm.push(fresh)
 
@@ -109,11 +159,9 @@ class StepCore:
         """One admission round: queued packets enter or are shed."""
         if self.adm is None:
             return
-        admitted, _shed = self.adm.step_admit(step, int(self.active.size), born)
+        admitted, _shed = self.adm.step_admit(step, self.live, born)
         if admitted:
-            self.active = np.concatenate(
-                (self.active, np.asarray(admitted, dtype=np.int64))
-            )
+            self._append(np.asarray(admitted, dtype=np.int64))
 
     def admission_totals(self) -> tuple[int, int]:
         """Count the ``admission.*`` totals on the profiler; return the
@@ -128,90 +176,146 @@ class StepCore:
         if self.profiler is not None:
             self.profiler.count(name, delta)
 
-    def advance(self, step: int) -> tuple[np.ndarray, np.ndarray] | None:
+    def _fields(self) -> tuple[str, ...]:
+        names = ("pid", "at", "end", "key", "req", "wait", "cur", "retries")
+        return tuple(n for n in names if getattr(self, n) is not None)
+
+    def _append(self, pids: np.ndarray) -> None:
+        """Give packets ``pids`` (ascending, above every slot's) new slots."""
+        if not pids.size:
+            return
+        at = self.start[pids]
+        end = self.stop[pids]
+        new = {"pid": pids, "at": at, "end": end}
+        if self.policy == "farthest-first":
+            new["key"] = (at - end) * self.num + pids
+        else:
+            new["key"] = np.array(pids, dtype=np.int64)
+        if self.delays is not None:
+            # every delayed packet waits for the gate, even a zero delay
+            new["wait"] = self.delays[pids]
+            new["req"] = np.full(pids.size, self.park, dtype=np.int64)
+            self.wake_at = min(self.wake_at, int(new["wait"].min()))
+        else:
+            new["req"] = self.eids[at]
+            if self.wait is not None:
+                new["wait"] = np.full(pids.size, _NEVER, dtype=np.int64)
+        if self.faults is not None:
+            new["cur"] = self.sources[pids]
+            new["retries"] = np.zeros(pids.size, dtype=np.int64)
+        for name in self._fields():
+            setattr(self, name, np.concatenate((getattr(self, name), new[name])))
+        self.live += int(pids.size)
+
+    def advance(self, step: int) -> np.ndarray:
         """Move every contention winner one edge at ``step``.
 
-        Returns ``(edges, finished)``: the edge each requesting packet
-        asked for and the packets that reached their destination — or
-        ``None`` when no packet requested an edge.
+        Returns the packets that reached their destination, in the order
+        of the edges they took last.
         """
-        ready = self.active
-        if self.not_before is not None:
-            ready = ready[self.not_before[ready] <= step]
-            if ready.size == 0:
-                return None
-        at = self.at[ready]
-        edges = self.eids[at]
+        if step >= self.wake_at:
+            self._wake(step)
         if self.faults is not None:
-            alive = self.faults.edge_alive(step)
-            blocked = ~alive[edges]
-            if np.any(blocked):
-                self._block(step, ready[blocked], alive)
-                ready = ready[~blocked]
-                if ready.size == 0:
-                    return None
-                at = at[~blocked]
-                edges = edges[~blocked]
-        n = ready.size
-        if self.policy == "farthest-first":
-            key = (at - self.end[ready]) * n + np.arange(n)
-        elif self.policy == "random":
-            key = self.rng.permutation(n)
-        else:
-            key = ready
+            self.alive[: self.park] = alive = self.faults.edge_alive(step)
+            blocked = np.flatnonzero(~self.alive[self.req])
+            if blocked.size:
+                self._block(step, blocked, alive)
+        req, key = self.req, self.key
+        if self.policy == "random":
+            asking = req != self.park
+            n = int(np.count_nonzero(asking))
+            if n:
+                key[asking] = self.rng.permutation(n)
         best = self.best
-        np.minimum.at(best, edges, key)
-        won = np.flatnonzero(best[edges] == key)
-        taken = edges[won]
+        np.minimum.at(best, req, key)
+        won = np.flatnonzero(best[req] == key)
+        if won.size == 0:
+            return _EMPTY
+        taken = req[won]
         best[taken] = _NO_KEY  # each requested edge has one winner
-        order = np.argsort(taken)
-        taken = taken[order]
-        winners = ready[won[order]]
+        if self.max_queue is not None:
+            per_edge = np.bincount(req, minlength=self.park + 1)[: self.park]
+            self.max_queue = max(self.max_queue, int(per_edge.max()))
+        at = self.at[won] + 1
+        self.at[won] = at
         if self.faults is not None:
-            ends = self.mesh.edge_endpoints[taken]
-            self.cur[winners] = ends.sum(axis=1) - self.cur[winners]
-            self.retries[winners] = 0
-        self.at[winners] += 1
-        finished = winners[self.at[winners] == self.end[winners]]
-        if finished.size:
-            self.active = np.delete(
-                self.active, np.searchsorted(self.active, finished)
-            )
-        return edges, finished
+            self.cur[won] = self.ends_sum[taken] - self.cur[won]
+            self.retries[won] = 0
+        done = at == self.end[won]
+        going = ~done
+        moving = won[going]
+        req[moving] = self.eids[at[going]]
+        if self.policy == "farthest-first":
+            key[moving] += self.num
+        fin = won[done]
+        if not fin.size:
+            return _EMPTY
+        req[fin] = self.park
+        finished = self.pid[fin[np.argsort(taken[done])]]
+        self.live -= int(fin.size)
+        self.parked += int(fin.size)
+        self._settle()
+        return finished
 
-    def _block(self, step: int, bidx: np.ndarray, alive: np.ndarray) -> None:
-        """Back off the packets in ``bidx``; reroute or drop the stuck ones."""
-        self.retries[bidx] += 1
-        self.blocked_steps += int(bidx.size)
-        self._count("faults.blocked_steps", int(bidx.size))
-        self.not_before[bidx] = step + (
-            1 << np.minimum(self.retries[bidx] - 1, self.backoff_cap)
-        )
+    def _wake(self, step: int) -> None:
+        """Waiting slots whose step has come request their edge again."""
+        wait = self.wait
+        due = np.flatnonzero(wait <= step)
+        self.req[due] = self.eids[self.at[due]]
+        wait[due] = _NEVER
+        self.wake_at = int(wait.min()) if wait.size else _NEVER
+
+    def _settle(self) -> None:
+        """Compact the parked slots away once they pass ``COMPACT_SHARE``."""
+        if self.parked <= COMPACT_SHARE * self.pid.size:
+            return
+        keep = self.req != self.park
+        if self.wait is not None:
+            keep |= self.wait != _NEVER
+        for name in self._fields():
+            setattr(self, name, getattr(self, name)[keep])
+        self.parked = 0
+
+    def _block(self, step: int, slots: np.ndarray, alive: np.ndarray) -> None:
+        """Back off the slots in ``slots``; reroute or drop the stuck ones."""
+        retries = self.retries[slots] + 1
+        self.retries[slots] = retries
+        self.blocked_steps += int(slots.size)
+        self._count("faults.blocked_steps", int(slots.size))
+        self.wait[slots] = step + (1 << np.minimum(retries - 1, self.backoff_cap))
+        self.req[slots] = self.park
         drop: list[int] = []
-        for i in bidx[self.retries[bidx] >= self.max_retries].tolist():
-            path = self.reroute(int(self.cur[i]), int(self.dests[i]), step, alive)
+        for s in slots[retries >= self.max_retries].tolist():
+            i = int(self.pid[s])
+            path = self.reroute(int(self.cur[s]), int(self.dests[i]), step, alive)
             if path is not None and path.size > 1:
-                self._repoint(i, self.mesh.edge_ids(path[:-1], path[1:]))
-                self.retries[i] = 0
-                self.not_before[i] = step + 1
+                self._repoint(s, self.mesh.edge_ids(path[:-1], path[1:]))
+                self.retries[s] = 0
+                self.wait[s] = step + 1
                 self.reroutes += 1
                 self._count("faults.reroutes", 1)
             elif not self.faults.repairs:
-                drop.append(i)
+                drop.append(s)
             else:
-                self.retries[i] = 0
+                self.retries[s] = 0
         if drop:
+            self.wait[drop] = _NEVER
+            self.live -= len(drop)
+            self.parked += len(drop)
             self.dropped += len(drop)
             self._count("faults.dropped", len(drop))
-            self.active = self.active[~np.isin(self.active, drop)]
+        self.wake_at = min(self.wake_at, int(self.wait[slots].min()))
 
-    def _repoint(self, i: int, seq: np.ndarray) -> None:
-        """Append ``seq`` to the edge buffer as packet ``i``'s remaining path."""
-        end = self.used + seq.size
+    def _repoint(self, s: int, seq: np.ndarray) -> None:
+        """Append ``seq`` to the edge buffer as slot ``s``'s remaining path."""
+        start = self.used
+        end = start + seq.size
         if end > self.eids.size:
             grown = np.empty(max(end, 2 * self.eids.size), dtype=self.eids.dtype)
-            grown[: self.used] = self.eids[: self.used]
+            grown[:start] = self.eids[:start]
             self.eids = grown
-        self.eids[self.used : end] = seq
-        self.at[i] = self.used
-        self.end[i] = self.used = end
+        self.eids[start:end] = seq
+        self.at[s] = start
+        self.end[s] = self.used = end
+        if self.policy == "farthest-first":
+            self.key[s] = (start - end) * self.num + self.pid[s]

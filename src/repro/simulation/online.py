@@ -366,6 +366,7 @@ def simulate_online(
         backoff_cap=backoff_cap,
         profiler=profiler,
         admission=admission,
+        track_queue=True,
     )
     # packets born at step b are [births[b - 1], births[b])
     births = np.searchsorted(born_a, np.arange(steps + 1), side="right")
@@ -378,7 +379,6 @@ def simulate_online(
 
         slo_stats = SLOStats(params=slo)
 
-    max_queue = 0
     peak_backlog = 0
     if drain_steps is None:
         drain_steps = 8 * steps + 200
@@ -401,7 +401,7 @@ def simulate_online(
         # delayed_steps`` / ``admission_delayed_steps``) — at fixed
         # arrivals, total unserved work is conserved, so folding the
         # ingress queue in here would make the cap invisible.
-        backlog = int(core.active.size)
+        backlog = core.live
         peak_backlog = max(peak_backlog, backlog)
         if slo_stats is not None:
             slo_stats.record_backlog(backlog)
@@ -410,12 +410,7 @@ def simulate_online(
                 break
             continue
         with stage("online.advance"):
-            moved = core.advance(step)
-            if moved is None:
-                continue
-            edges, finished = moved
-            # queue sizes: packets waiting per next-edge tail (proxy: per edge)
-            max_queue = max(max_queue, int(np.bincount(edges).max()))
+            finished = core.advance(step)
             if finished.size:
                 done_latency.extend((step - born_a[finished] + 1).tolist())
                 done_distance.extend(dist_a[finished].tolist())
@@ -448,7 +443,8 @@ def simulate_online(
         p95_latency=float(np.percentile(lat, 95)) if lat.size else 0.0,
         max_latency=int(lat.max()) if lat.size else 0,
         mean_distance=float(np.mean(done_distance)) if done_distance else 0.0,
-        max_queue=max_queue,
+        # queue sizes: packets waiting per next-edge tail (proxy: per edge)
+        max_queue=core.max_queue,
         throughput=delivered_during_injection / max(steps, 1),
         latencies=lat,
         distances=np.asarray(done_distance, dtype=np.int64),

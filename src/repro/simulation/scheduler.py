@@ -13,8 +13,8 @@ is resolved by a priority policy:
   behind the ``O(C + D)``-style schedules the paper's ``C + D`` metric
   anticipates (delays decorrelate packets sharing edges).
 
-The step itself — gate, fault ladder, one sort for contention —
-is the step core shared with the online simulator
+The step itself — gate, fault ladder, a per-edge minimum of fixed
+priority keys for contention — is the step core shared with the online simulator
 (:mod:`repro.simulation._step`); this module only records delivery times
 over the flat edge-id stream of a :class:`~repro.core.pathset.PathSet`.
 
@@ -118,7 +118,9 @@ def simulate(
 
     ``paths`` may be a raw path list or a :class:`RoutingResult`.  Raises
     ``RuntimeError`` if delivery takes more than ``max_steps`` (default
-    ``8 * (C + D) + 64``, far above anything a greedy schedule needs).
+    ``8 * (C + D) + 64``, far above anything a greedy schedule needs), and
+    ``ValueError`` for a negative ``max_steps``, a negative
+    ``max_retries`` or a ``backoff_cap`` outside ``[0, 62]``.
 
     With a non-trivial ``faults`` model the run degrades instead of
     raising: blocked packets back off exponentially (capped at
@@ -139,6 +141,8 @@ def simulate(
     )
     if policy not in ("farthest-first", "fifo", "random", "random-delay"):
         raise ValueError(f"unknown policy {policy!r}")
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
     faulty = faults is not None and not faults.is_trivial
     rng = np.random.default_rng(seed)
 
@@ -162,9 +166,12 @@ def simulate(
                 max_steps += waves * (cong + dil + 1)
 
     cur = dests = None
-    if faulty:  # a path may have no nodes: look up ends only when needed
-        cur = pathset.nodes[pathset.offsets[:-1]]
-        dests = pathset.nodes[pathset.offsets[1:] - 1]
+    if faulty:  # a path may have no nodes: look up the ends of moving ones
+        moving = lengths > 0
+        cur = np.zeros(num, dtype=np.int64)
+        dests = np.zeros(num, dtype=np.int64)
+        cur[moving] = pathset.nodes[pathset.offsets[:-1][moving]]
+        dests[moving] = pathset.nodes[pathset.offsets[1:][moving] - 1]
     core = StepCore(
         mesh,
         pathset.edge_ids(mesh),
@@ -187,7 +194,7 @@ def simulate(
     delivery = np.where(lengths > 0, -1, 0).astype(np.int64)
     core.enter(np.flatnonzero(lengths > 0))
     step = 0
-    while core.active.size or core.queued:
+    while core.live or core.queued:
         if step >= max_steps:
             if faulty or admission is not None:
                 break  # stragglers are undelivered, not a scheduling bug
@@ -195,10 +202,9 @@ def simulate(
                 f"schedule exceeded {max_steps} steps (C={cong}, D={dil})"
             )
         core.admit(step)
-        moved = core.advance(step)
+        finished = core.advance(step)
         step += 1
-        if moved is not None:
-            delivery[moved[1]] = step
+        delivery[finished] = step
     admission_dropped, admission_delayed = core.admission_totals()
     return SimulationResult(
         makespan=step,

@@ -356,6 +356,49 @@ class TestSimulateWithFaults:
         with pytest.raises(RuntimeError, match="exceeded"):
             simulate(mesh, res, max_steps=1)
 
+    def test_negative_max_steps_rejected_before_running(self):
+        mesh = Mesh((8, 8))
+        res = HierarchicalRouter().route(transpose(mesh), seed=0)
+        with pytest.raises(ValueError, match="max_steps"):
+            simulate(mesh, res, max_steps=-1)
+
+    @pytest.mark.parametrize(
+        "max_retries, backoff_cap, name",
+        [(-1, 5, "max_retries"), (3, -1, "backoff_cap"), (3, 63, "backoff_cap")],
+    )
+    def test_fault_ladder_inputs_range_checked(self, max_retries, backoff_cap, name):
+        # a cap below 0 would read ``1 << -1`` as a 0-step backoff, and one
+        # of 63 or more wraps int64: both simulators refuse them
+        mesh = Mesh((8, 8))
+        res = HierarchicalRouter().route(transpose(mesh), seed=0)
+        fd = FaultModel.dynamic(mesh, p=0.1, seed=1)
+        ladder = dict(max_retries=max_retries, backoff_cap=backoff_cap)
+        with pytest.raises(ValueError, match=name):
+            simulate(mesh, res, faults=fd, **ladder)
+        with pytest.raises(ValueError, match=name):
+            simulate_online(
+                HierarchicalRouter(), mesh, rate=0.05, steps=5, seed=1,
+                faults=fd, **ladder,
+            )
+
+    def test_fault_ladder_range_ends_accepted(self):
+        mesh = Mesh((8, 8))
+        res = HierarchicalRouter().route(transpose(mesh), seed=0)
+        fd = FaultModel.dynamic(mesh, p=0.1, seed=1)
+        for max_retries, backoff_cap in ((0, 0), (3, 62)):
+            out = simulate(
+                mesh, res, faults=fd, max_retries=max_retries, backoff_cap=backoff_cap
+            )
+            assert out.delivered + out.dropped <= out.num_packets
+
+    def test_empty_path_beside_faults(self):
+        # a path with no nodes has no ends to look up: it is delivered at 0
+        mesh = Mesh((8, 8))
+        fm = FaultModel.static(mesh, p=0.05, seed=0)
+        empty = np.asarray([], dtype=np.int64)
+        out = simulate(mesh, [np.asarray([0, 1, 2]), empty], faults=fm)
+        assert out.delivery_times[1] == 0 and out.num_packets == 2
+
 
 class TestOnlineWithFaults:
     def test_trivial_faults_identical_stats(self):

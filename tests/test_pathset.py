@@ -120,6 +120,21 @@ class TestConstruction:
         assert ps.total_edges == 0
         assert ps.edge_tails.size == 0
 
+    @pytest.mark.parametrize(
+        "nodes",
+        [np.array([0.0, 1.0]), np.array([True, False]), np.array([0, 1], dtype=object)],
+    )
+    def test_non_integer_nodes_rejected(self, nodes):
+        # a cast would truncate 0.9 onto node 0: refuse instead
+        with pytest.raises(ValueError, match="integer dtype"):
+            PathSet.from_paths([np.array([2, 3]), nodes])
+
+    def test_empty_node_list_accepted(self):
+        # ``[]`` reads as a float array, but it holds no node to truncate
+        ps = PathSet.from_paths([[], [4, 5]])
+        assert ps[0].tolist() == [] and ps[1].tolist() == [4, 5]
+        assert ps.nodes.dtype == np.int64
+
     def test_bad_offsets_rejected(self):
         with pytest.raises(ValueError):
             PathSet(np.asarray([1, 2]), np.asarray([0, 1]))  # doesn't cover nodes

@@ -75,6 +75,27 @@ class TestBasics:
             simulate(mesh, [p], max_steps=3)
 
 
+class TestBenchmarkScale:
+    """The benchmark's scale: 16,384 packets on 32x32 reach long edge
+    queues and compact parked slots many times, which the 8x8 goldens
+    never do.  Pinned from the step core before fixed priority keys."""
+
+    def test_farthest_first_16k_pinned(self):
+        import hashlib
+
+        mesh = Mesh((32, 32))
+        problem = random_pairs(mesh, 16_384, seed=1)
+        result = HierarchicalRouter().route(problem, seed=1, workers=1)
+        sim = simulate(mesh, result, policy="farthest-first")
+        digest = hashlib.sha256(
+            np.ascontiguousarray(sim.delivery_times, dtype=np.int64).tobytes()
+        ).hexdigest()
+        assert (sim.makespan, sim.congestion, sim.dilation) == (523, 523, 126)
+        assert digest == (
+            "094aae7ee0a31f009390fd9399b3e199e607d0b18124cbd8f2f8e64b7ad428f5"
+        )
+
+
 class TestBounds:
     @pytest.mark.parametrize("policy", ["farthest-first", "fifo", "random"])
     def test_makespan_bounds(self, mesh, policy):
