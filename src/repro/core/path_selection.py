@@ -282,16 +282,15 @@ class HierarchicalRouter(Router):
         from repro.routing.engine import BatchSpec
 
         tables = SequenceTables.for_mesh(mesh, self.scheme)
+        cs = np.atleast_2d(mesh.flat_to_coords(problem.sources))
+        ct = np.atleast_2d(mesh.flat_to_coords(problem.dests))
         box_lo, box_len, n_inner = tables.batch_boxes(
-            problem.sources,
-            problem.dests,
-            variant=self._variant_for(mesh),
-            use_bridges=self.use_bridges,
+            cs, ct, variant=self._variant_for(mesh), use_bridges=self.use_bridges
         )
         return BatchSpec(
             mesh=mesh,
-            coords_s=np.atleast_2d(mesh.flat_to_coords(problem.sources)),
-            coords_t=np.atleast_2d(mesh.flat_to_coords(problem.dests)),
+            coords_s=cs,
+            coords_t=ct,
             box_lo=box_lo,
             box_len=box_len,
             dim_order=self.dim_order,
@@ -329,8 +328,8 @@ class HierarchicalRouter(Router):
 
             tables = SequenceTables.for_mesh(mesh, self.scheme)
             _, box_len, n_inner = tables.batch_boxes(
-                problem.sources,
-                problem.dests,
+                np.atleast_2d(mesh.flat_to_coords(problem.sources)),
+                np.atleast_2d(mesh.flat_to_coords(problem.dests)),
                 variant=self._variant_for(mesh),
                 use_bridges=self.use_bridges,
             )

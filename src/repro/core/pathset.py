@@ -289,14 +289,20 @@ class PathSet(Sequence):
         return int(self.lengths.sum())
 
     # -- flat edge streams ---------------------------------------------
+    def _in_path_pairs(self) -> np.ndarray:
+        """``bool[total_nodes - 1]``: whether the consecutive node pair
+        ``(nodes[i], nodes[i + 1])`` is an edge of one path, ``False`` for
+        a pair across a path boundary (``nodes[i]`` ends its path)."""
+        inner = np.ones(self.total_nodes, dtype=bool)
+        inner[self.offsets[1:][self.nodes_per_path > 0] - 1] = False
+        return inner[:-1]  # the last node always ends a path
+
     def _edge_streams(self) -> None:
         """Cache :attr:`edge_tails` and :attr:`edge_heads`: every node but a
         path's last is a tail, and the node after it the head."""
-        tail = np.ones(self.total_nodes, dtype=bool)
-        tail[self.offsets[1:][self.nodes_per_path > 0] - 1] = False
-        tail = tail[:-1]  # the last node always ends a path
-        self._edge_tails = _frozen_owned(self.nodes[:-1][tail])
-        self._edge_heads = _frozen_owned(self.nodes[1:][tail])
+        inner = self._in_path_pairs()
+        self._edge_tails = _frozen_owned(self.nodes[:-1][inner])
+        self._edge_heads = _frozen_owned(self.nodes[1:][inner])
 
     @property
     def edge_tails(self) -> np.ndarray:
@@ -344,10 +350,19 @@ class PathSet(Sequence):
         return self._edge_path_ids
 
     def edge_ids(self, mesh: "Mesh") -> np.ndarray:
-        """Dense undirected edge ids of every edge on ``mesh`` (cached).
+        """Dense undirected ``int64`` edge ids of every edge on ``mesh``
+        (cached), in :attr:`edge_tails` order.
 
-        Raises ``ValueError`` if any consecutive node pair is not a mesh
-        link — the same validation contract as ``Mesh.edge_ids``.
+        Raises ``ValueError`` if any consecutive node pair within a path is
+        not a mesh link, or a node of such a pair is out of range — the
+        same validation contract as ``mesh.edge_ids(edge_tails,
+        edge_heads)``.  A pair across a path boundary is never checked.
+
+        One ``mesh.link_ids`` lookup over the whole node stream, then the
+        path-boundary pairs are dropped: the endpoint streams are never
+        built.  On an error the strict lookup over the path edges raises
+        the topology's own message (an out-of-range node that sits in no
+        edge, e.g. a one-node path, is no error).
 
         Keyed by the mesh object itself (``Mesh`` hashes by shape, a
         ``GeneralGraph`` by content digest), so same-shaped topologies with
@@ -356,7 +371,14 @@ class PathSet(Sequence):
         key = mesh
         ids = self._edge_id_cache.get(key)
         if ids is None:
-            ids = _frozen_owned(mesh.edge_ids(self.edge_tails, self.edge_heads))
+            nodes = self.nodes
+            try:
+                ids = mesh.link_ids(nodes[:-1], nodes[1:])[self._in_path_pairs()]
+            except ValueError:  # an out-of-range node somewhere in the stream
+                ids = None
+            if ids is None or (ids.size and int(ids.min()) < 0):
+                ids = mesh.edge_ids(self.edge_tails, self.edge_heads)
+            ids = _frozen_owned(ids.astype(np.int64, copy=False))
             self._edge_id_cache[key] = ids
         return ids
 

@@ -17,7 +17,17 @@ Key identities (power-of-two cube mesh, side ``m = 2^k``, non-torus):
   ``σ``) at cell side ``M`` iff ``(lo - σ) // M == (hi - σ) // M`` in every
   dimension (floor division; the extension layer is cell index ``-1``);
 * under the ``paper2d`` scheme a shifted cell is discarded iff it is
-  clipped by the mesh border in *every* dimension (a corner submesh).
+  clipped by the mesh border in *every* dimension (a corner submesh);
+* a fit implies ``hi - lo < M`` in every dimension, and a packet's
+  bitonic target box holds both ``s`` and ``t``, so no height ``h`` with
+  ``2^h <= max_j |s_j - t_j|`` holds its bridge: the search starts at the
+  floor ``bit_length(max_j |s_j - t_j|)``, the lower side of the window
+  whose upper side is Lemma 3.3's ``ceil(log2 dist) + 2``.  The Section 4
+  search's floor is ``h' + 1`` (its target spans two distinct cells of
+  side ``2^{h'}``);
+* the type-1 cell at height ``k`` is the whole mesh, so the bitonic
+  search gives every packet still unresolved there the root, with no
+  fit test.
 
 ``tests/test_engine.py`` certifies, per packet, that the arrays produced
 here equal the boxes of ``HierarchicalRouter.submesh_sequence``.
@@ -37,6 +47,16 @@ from repro.core.decomposition import Decomposition
 from repro.mesh.mesh import Mesh
 
 __all__ = ["SequenceTables", "bit_length"]
+
+
+def _across_dims(op: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``op.reduce(x, axis=1)`` for an ``(N, d)`` array, one column at a
+    time: numpy's reduce over a short last axis costs about 20x more than
+    ``d - 1`` elementwise passes."""
+    out = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        op(out, x[:, j], out=out)
+    return out
 
 
 def bit_length(x: np.ndarray) -> np.ndarray:
@@ -117,7 +137,7 @@ class SequenceTables:
         bhi = np.zeros_like(hi)
         # type 1: cells of the unshifted grid (always full-size, in-range)
         c_lo = lo >> h
-        fit = (c_lo == (hi >> h)).all(axis=1)
+        fit = _across_dims(np.logical_and, c_lo == (hi >> h))
         if min_side is not None:
             fit &= M >= min_side  # scalar side vs per-row requirement
         blo[fit] = c_lo[fit] << h
@@ -129,16 +149,17 @@ class SequenceTables:
             if not rem.any():
                 break
             alo = (lo[rem] - sigma) // M
-            fit = (alo == (hi[rem] - sigma) // M).all(axis=1)
+            fit = _across_dims(np.logical_and, alo == (hi[rem] - sigma) // M)
             start = alo * M + sigma
             end = start + M - 1
             clo = np.maximum(start, 0)
             chi = np.minimum(end, self.m - 1)
             if self.dec.scheme == "paper2d":
                 clipped = (start < 0) | (end > self.m - 1)
-                fit &= ~clipped.all(axis=1)
+                fit &= ~_across_dims(np.logical_and, clipped)
             if min_side is not None:
-                fit &= (chi - clo + 1 >= min_side[rem, None]).all(axis=1)
+                wide = chi - clo + 1 >= min_side[rem, None]
+                fit &= _across_dims(np.logical_and, wide)
             rows = np.flatnonzero(rem)[fit]
             blo[rows] = clo[fit]
             bhi[rows] = chi[fit]
@@ -154,10 +175,13 @@ class SequenceTables:
         bridge_lo = np.zeros_like(cs)
         bridge_hi = np.zeros_like(cs)
         unresolved = alive.copy()
-        for h in range(1, self.k + 1):
-            idx = np.flatnonzero(unresolved)
+        # no height below a packet's floor can hold its bridge, so each
+        # packet joins the climb at its own floor
+        floor = bit_length(_across_dims(np.maximum, np.abs(cs - ct)))
+        for h in range(int(floor[alive].min(initial=self.k)), self.k):
+            idx = np.flatnonzero(unresolved & (floor <= h))
             if idx.size == 0:
-                break
+                continue
             half = h - 1
             a = cs[idx] >> half
             b = ct[idx] >> half
@@ -169,8 +193,11 @@ class SequenceTables:
             bridge_lo[done] = blo[found]
             bridge_hi[done] = bhi[found]
             unresolved[done] = False
-        if unresolved.any():  # pragma: no cover - the root always contains
-            raise AssertionError("unreachable: no bridge found below the root")
+        # the type-1 cell at height k is the whole mesh: it holds every box
+        rest = np.flatnonzero(unresolved)
+        u[rest] = self.k - 1
+        bridge_lo[rest] = 0
+        bridge_hi[rest] = self.m - 1
         return u, bridge_lo, bridge_hi
 
     def _tops_type1(
@@ -180,7 +207,7 @@ class SequenceTables:
         :func:`~repro.core.path_selection.common_type1_height`): the first
         height where ``cs >> h == ct >> h`` in every dimension, i.e. the
         max per-dimension bit length of ``cs ^ ct``."""
-        h = bit_length(cs ^ ct).max(axis=1)
+        h = _across_dims(np.maximum, bit_length(cs ^ ct))
         lo = (cs >> h[:, None]) << h[:, None]
         side = (np.int64(1) << h)[:, None]
         return h - 1, lo, lo + side - 1
@@ -198,9 +225,11 @@ class SequenceTables:
         u = np.zeros(N, dtype=np.int64)
         bridge_lo = np.zeros_like(cs)
         bridge_hi = np.zeros_like(cs)
-        dist = np.abs(cs - ct).sum(axis=1)
+        dist = _across_dims(np.add, np.abs(cs - ct))
         hp = np.clip(bit_length(np.maximum(dist - 1, 0)), 0, max(self.k - 1, 0))
-        same_cell = ((cs >> hp[:, None]) == (ct >> hp[:, None])).all(axis=1)
+        same_cell = _across_dims(
+            np.logical_and, (cs >> hp[:, None]) == (ct >> hp[:, None])
+        )
         pure = alive & (same_cell | (not use_bridges))
         if pure.any():
             pu, plo, phi = self._tops_type1(cs[pure], ct[pure])
@@ -217,7 +246,7 @@ class SequenceTables:
             hi = np.maximum(lo1 + side - 1, lo3 + side - 1)
             min_side = np.int64(2) << hp  # 2 * 2^{h'}
             unresolved = bridged.copy()
-            for h in range(1, self.k + 1):
+            for h in range(int(hp[bridged].min()) + 1, self.k + 1):
                 idx = np.flatnonzero(unresolved & (hp + 1 <= h))
                 if idx.size == 0:
                     continue
@@ -237,15 +266,17 @@ class SequenceTables:
     # ------------------------------------------------------------------
     def batch_boxes(
         self,
-        sources: np.ndarray,
-        dests: np.ndarray,
+        cs: np.ndarray,
+        ct: np.ndarray,
         *,
         variant: str,
         use_bridges: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Inner-box arrays for every packet's bitonic sequence.
 
-        Returns ``(box_lo, box_len, n_inner)`` with shapes
+        ``cs`` / ``ct`` are the ``(N, d)`` source and destination
+        coordinates (``mesh.flat_to_coords``), which callers keep for the
+        engine spec.  Returns ``(box_lo, box_len, n_inner)`` with shapes
         ``(N, S_max, d)``, ``(N, S_max, d)``, ``(N,)``.  Slot layout per
         packet (``u`` up entries): slots ``0..u-1`` are the type-1
         ancestors of the source at heights ``1..u``, slot ``u`` is the
@@ -255,11 +286,8 @@ class SequenceTables:
         and contributes no movement — padding keeps every packet's random
         consumption identical without changing its path.
         """
-        mesh = self.mesh
-        cs = np.atleast_2d(mesh.flat_to_coords(sources))
-        ct = np.atleast_2d(mesh.flat_to_coords(dests))
         N = cs.shape[0]
-        alive = (cs != ct).any(axis=1)
+        alive = _across_dims(np.logical_or, cs != ct)
         if variant == "bitonic2d":
             if use_bridges:
                 u, blo, bhi = self._bridges_bitonic(cs, ct, alive)

@@ -232,27 +232,32 @@ class GeneralGraph:
     def _csr(self):
         return self.adjacency_csr()
 
-    def edge_ids(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        """Edge ids of the links ``(tails[i], heads[i])``; raises on non-links."""
+    def link_ids(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Edge ids of the pairs ``(tails[i], heads[i])``, ``-1`` for a non-link.
+
+        The graph's one id lookup (same contract as ``Mesh.link_ids``):
+        ``int64`` ids in the input's shape and order; raises ``ValueError``
+        if any node id is outside ``[0, n)``.
+        """
         tails = np.asarray(tails, dtype=np.int64)
         heads = np.asarray(heads, dtype=np.int64)
         if tails.shape != heads.shape:
             raise ValueError("tails and heads must have the same shape")
-        bad = (
-            (tails < 0)
-            | (tails >= self.n)
-            | (heads < 0)
-            | (heads >= self.n)
-            | (tails == heads)
-        )
-        if bad.any():
+        if tails.size and (
+            min(tails.min(), heads.min()) < 0 or max(tails.max(), heads.max()) >= self.n
+        ):
             raise ValueError("consecutive nodes are not mesh neighbors")
         keys = np.minimum(tails, heads) * self.n + np.maximum(tails, heads)
         idx = np.searchsorted(self._edge_keys, keys)
         idx = np.minimum(idx, self.num_edges - 1)
-        if not np.array_equal(self._edge_keys[idx], keys):
+        return np.where(self._edge_keys[idx] == keys, idx, -1).astype(np.int64)
+
+    def edge_ids(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Edge ids of the links ``(tails[i], heads[i])``; raises on non-links."""
+        ids = self.link_ids(tails, heads)
+        if ids.size and int(ids.min()) < 0:
             raise ValueError("consecutive nodes are not mesh neighbors")
-        return idx.astype(np.int64)
+        return ids
 
     def edge_id_to_endpoints(self, edge_id: int) -> tuple[int, int]:
         if not (0 <= edge_id < self.num_edges):

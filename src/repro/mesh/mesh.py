@@ -144,7 +144,12 @@ class Mesh:
         ids = np.atleast_1d(np.asarray(flat, dtype=np.int64))
         if np.any(ids < 0) or np.any(ids >= self.n):
             raise ValueError("node id out of range")
-        out = (ids[:, None] // self.strides[None, :]) % self._sides_arr[None, :]
+        decode = self._pow2_decode
+        if decode is not None:
+            shift, mask = np.asarray(decode, dtype=np.int64).T
+            out = (ids[:, None] >> shift) & mask
+        else:
+            out = (ids[:, None] // self.strides[None, :]) % self._sides_arr[None, :]
         return out[0] if scalar else out
 
     def node(self, *coords: int) -> int:
@@ -238,7 +243,7 @@ class Mesh:
 
     @cached_property
     def _edge_id_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(gap_row, table)``: the lookup tables behind :meth:`edge_ids`.
+        """``(gap_row, table)``: the lookup tables behind :meth:`link_ids`.
 
         A pair ``(t, h)`` with ``lo = min(t, h)`` and gap ``a = |h - t|``
         is a link of at most one *slot*: a plain link of a dimension with
@@ -246,14 +251,18 @@ class Mesh:
         ``m_i >= 3``, its wrap link (``a == (m_i - 1) * strides[i]``).
         ``table`` holds one row of ``n`` entries per slot plus a last row
         of ``-1``; entry ``lo`` of a slot's row is that link's edge id, or
-        ``-1`` when ``lo`` has no such link.  ``gap_row[a]`` is the flat
-        offset of gap ``a``'s row (the ``-1`` row for every gap that is no
-        slot's), so an edge id is ``table[gap_row[a] + lo]``.
+        ``-1`` when ``lo`` has no such link.
+
+        ``gap_row`` is indexed by the *signed* gap ``g = h - t`` (``2n - 1``
+        entries; a negative ``g`` wraps to the back half, numpy style) and
+        holds the flat offset of gap ``|g|``'s row (the ``-1`` row for
+        every gap that is no slot's) plus ``min(g, 0)``.  Since
+        ``t + min(g, 0) == lo``, an edge id is ``table[gap_row[h - t] + t]``.
 
         Both are built once per mesh from the closed form in
         :meth:`edge_ids`, vectorised over all nodes: ``O(d * n)`` entries,
         ``int32`` when ``num_edges`` fits (``int64`` otherwise), plus the
-        ``int64[n]`` gap map.
+        ``int64[2n - 1]`` gap map.
         """
         n = self.n
         lo = np.arange(n, dtype=np.int64)
@@ -274,12 +283,39 @@ class Mesh:
         rows.append(np.full(n, -1, dtype=np.int64))
         dtype = np.int32 if self.num_edges <= np.iinfo(np.int32).max else np.int64
         table = np.concatenate(rows).astype(dtype)
-        gap_row = np.full(n, len(gaps) * n, dtype=np.int64)
+        no_link = len(gaps) * n  # offset of the -1 row
+        gap_row = np.full(2 * n - 1, no_link, dtype=np.int64)
+        gap_row[n:] += np.arange(1 - n, 0)  # a negative gap g: no_link + g
         for slot, gap in enumerate(gaps):
             gap_row[gap] = slot * n
+            gap_row[-gap] = slot * n - gap
         table.setflags(write=False)
         gap_row.setflags(write=False)
         return gap_row, table
+
+    def link_ids(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Edge ids of node-id pairs ``(tails, heads)``, ``-1`` for a non-link.
+
+        The one id lookup of the mesh: :meth:`edge_ids` and
+        :meth:`PathSet.edge_ids <repro.core.pathset.PathSet.edge_ids>` both
+        read it.  Returns a flat array in the lookup table's dtype
+        (``int32`` unless ``num_edges`` needs ``int64``), in input order.
+        Raises ``ValueError`` if any node id is outside ``[0, n)``.
+        """
+        tails = np.asarray(tails, dtype=np.int64)
+        heads = np.asarray(heads, dtype=np.int64)
+        if tails.shape != heads.shape:
+            raise ValueError("tails and heads must have the same shape")
+        gap_row, table = self._edge_id_tables
+        if tails.size == 0:
+            return np.empty(0, dtype=table.dtype)
+        # Read as unsigned, a negative id is huge: one max checks both ends.
+        n = self.n
+        if max(int(tails.view(np.uint64).max()), int(heads.view(np.uint64).max())) >= n:
+            raise ValueError("node id out of range")
+        idx = gap_row[(heads - tails).ravel()]
+        idx += tails.ravel()
+        return np.take(table, idx)
 
     def edge_ids(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Dense undirected edge ids for node-id pairs ``(tails, heads)``.
@@ -306,27 +342,13 @@ class Mesh:
         Strides of dimensions with ``m_i > 1`` are distinct, so a pair meets
         at most one of these conditions.  The per-mesh tables of
         :attr:`_edge_id_tables` hold this formula for every ``(a, lo)``, so
-        a batch costs one gather into them.
+        a batch costs one :meth:`link_ids` gather.
 
         Returns ``int64`` ids.  Raises ``ValueError`` if any node id is
         outside ``[0, n)`` or any pair is not a link.
         """
-        tails = np.asarray(tails, dtype=np.int64)
-        heads = np.asarray(heads, dtype=np.int64)
-        if tails.shape != heads.shape:
-            raise ValueError("tails and heads must have the same shape")
-        if tails.size == 0:
-            return np.empty(0, dtype=np.int64)
-        lo = np.minimum(tails, heads).ravel()
-        gap = np.maximum(tails, heads).ravel()
-        if int(lo.min()) < 0 or int(gap.max()) >= self.n:
-            raise ValueError("node id out of range")
-        gap -= lo
-        gap_row, table = self._edge_id_tables
-        idx = gap_row[gap]
-        idx += lo
-        ids = table[idx]
-        if int(ids.min()) < 0:
+        ids = self.link_ids(tails, heads)
+        if ids.size and int(ids.min()) < 0:
             raise ValueError("some pairs are not mesh links")
         return ids.astype(np.int64, copy=False)
 

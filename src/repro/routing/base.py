@@ -176,8 +176,8 @@ class RoutingResult:
         """Every path is a mesh walk from its source to its destination.
 
         One array pass over the CSR views: endpoint checks by gather, link
-        checks by a single vectorised ``Mesh.edge_ids`` call on the flat
-        edge streams.
+        checks by :meth:`PathSet.edge_ids` (one id lookup over the node
+        stream, whose ids the metrics then reuse from its cache).
         """
         mesh = self.problem.mesh
         ps = self.paths

@@ -65,6 +65,21 @@ _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
 
 
+def check_fault_ladder(max_retries: int, backoff_cap: int) -> None:
+    """Raise ``ValueError`` for a negative ``max_retries`` or a
+    ``backoff_cap`` outside ``[0, MAX_BACKOFF_CAP]``.
+
+    Both simulators call it on entry, before any arrival or path work,
+    and :class:`StepCore` calls it again for direct callers.
+    """
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
+    if not 0 <= backoff_cap <= MAX_BACKOFF_CAP:
+        raise ValueError(
+            f"backoff_cap must be in [0, {MAX_BACKOFF_CAP}], got {backoff_cap!r}"
+        )
+
+
 class StepCore:
     """In-network packet state and the per-step advance of both simulators.
 
@@ -78,7 +93,8 @@ class StepCore:
     any edge got in one step.
 
     Raises ``ValueError`` for a negative ``max_retries`` or a
-    ``backoff_cap`` outside ``[0, MAX_BACKOFF_CAP]``.
+    ``backoff_cap`` outside ``[0, MAX_BACKOFF_CAP]``
+    (:func:`check_fault_ladder`).
     """
 
     def __init__(
@@ -100,12 +116,7 @@ class StepCore:
         admission,
         track_queue: bool = False,
     ):
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
-        if not 0 <= backoff_cap <= MAX_BACKOFF_CAP:
-            raise ValueError(
-                f"backoff_cap must be in [0, {MAX_BACKOFF_CAP}], got {backoff_cap!r}"
-            )
+        check_fault_ladder(max_retries, backoff_cap)
         self.num = int(nedges.size)
         self.mesh = mesh
         self.eids = eids

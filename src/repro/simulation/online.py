@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.mesh.mesh import Mesh
 from repro.routing.base import Router
-from repro.simulation._step import StepCore
+from repro.simulation._step import StepCore, check_fault_ladder
 
 __all__ = ["OnlineStats", "simulate_online", "latency_vs_load"]
 
@@ -231,6 +231,7 @@ def simulate_online(
         raise ValueError(f"rate is a Bernoulli probability in [0, 1], got {rate!r}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps!r}")
+    check_fault_ladder(max_retries, backoff_cap)
     from contextlib import nullcontext
 
     def stage(name):

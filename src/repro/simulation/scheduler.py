@@ -41,7 +41,7 @@ from repro.faults.router import shortest_alive_path
 from repro.mesh.mesh import Mesh
 from repro.metrics.congestion import congestion
 from repro.routing.base import RoutingResult
-from repro.simulation._step import StepCore
+from repro.simulation._step import StepCore, check_fault_ladder
 
 __all__ = ["simulate", "SimulationResult"]
 
@@ -143,6 +143,7 @@ def simulate(
         raise ValueError(f"unknown policy {policy!r}")
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
+    check_fault_ladder(max_retries, backoff_cap)
     faulty = faults is not None and not faults.is_trivial
     rng = np.random.default_rng(seed)
 

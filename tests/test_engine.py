@@ -3,7 +3,10 @@ sequence tables, fallback behaviour, and obliviousness of the protocol."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.bridges import bridge_height_bound_2d
 from repro.core.path_selection import HierarchicalRouter
 from repro.core.tables import SequenceTables, bit_length
 from repro.mesh.mesh import Mesh
@@ -103,8 +106,80 @@ class TestByteIdentity:
         _assert_identical(router.route(problem, seed=0).paths, loop, mesh, problem)
 
 
+@st.composite
+def _floor_edge_pairs(draw):
+    """A power-of-two mesh (d = 1-3, side up to 64) and packets biased to
+    the edges of the bridge search's floor: ``max_j |s_j - t_j|`` in
+    ``{2^j - 1, 2^j, 2^j + 1}``, adjacent pairs, and ``s == t``."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 6))
+    m = 1 << k
+    mesh = Mesh((m,) * d)
+    src, dst = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["floor", "adjacent", "same"]))
+        if kind == "floor":
+            j = draw(st.integers(0, k))
+            far = draw(st.sampled_from([(1 << j) - 1, 1 << j, (1 << j) + 1]))
+        else:
+            far = 1 if kind == "adjacent" else 0
+        far = min(far, m - 1)
+        axis = draw(st.integers(0, d - 1))
+        s, t = [], []
+        for i in range(d):
+            if i == axis:
+                a = draw(st.integers(0, m - 1 - far))
+                b = a + far
+                if draw(st.booleans()):
+                    a, b = b, a
+            else:
+                a = draw(st.integers(0, m - 1))
+                reach = 0 if kind != "floor" else far
+                b = min(max(a + draw(st.integers(-reach, reach)), 0), m - 1)
+            s.append(a)
+            t.append(b)
+        src.append(s)
+        dst.append(t)
+    return mesh, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+
+
 class TestSequenceTables:
     """The vectorised tables must reproduce the scalar submesh sequences."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        _floor_edge_pairs(),
+        st.sampled_from(["paper2d", "multishift"]),
+        st.sampled_from(["bitonic2d", "general"]),
+        st.booleans(),
+    )
+    def test_bounded_search_matches_scalar_referee(
+        self, case, scheme, variant, use_bridges
+    ):
+        """Starting each packet's bridge search at its floor
+        ``bit_length(max_j |s_j - t_j|)`` finds the box the scalar climb
+        from height 1 finds, on pairs at the floor's edges."""
+        mesh, cs, ct = case
+        router = HierarchicalRouter(scheme=scheme, variant=variant, use_bridges=use_bridges)
+        tables = SequenceTables.for_mesh(mesh, scheme)
+        box_lo, box_len, n_inner = tables.batch_boxes(
+            cs, ct, variant=variant, use_bridges=use_bridges
+        )
+        src, dst = mesh.coords_to_flat(cs), mesh.coords_to_flat(ct)
+        for i in range(src.size):
+            seq, _ = router.submesh_sequence(mesh, int(src[i]), int(dst[i]))
+            inner = seq[1:-1]
+            assert n_inner[i] == len(inner)
+            for j, box in enumerate(inner):
+                assert box_lo[i, j].tolist() == list(box.lo)
+                assert box_len[i, j].tolist() == [
+                    hi - lo + 1 for lo, hi in zip(box.lo, box.hi)
+                ]
+            if mesh.d == 2 and variant == "bitonic2d" and use_bridges and src[i] != dst[i]:
+                height = (int(n_inner[i]) - 1) // 2 + 1  # the bridge sits at u + 1
+                floor = int(np.abs(cs[i] - ct[i]).max()).bit_length()
+                dist = int(mesh.distance(int(src[i]), int(dst[i])))
+                assert floor <= height <= bridge_height_bound_2d(dist)
 
     @pytest.mark.parametrize("sides,scheme", [((16, 16), "paper2d"), ((16, 16), "multishift"), ((8, 8, 8), "multishift")])
     @pytest.mark.parametrize("variant", ["bitonic2d", "general"])
@@ -118,7 +193,10 @@ class TestSequenceTables:
         router = HierarchicalRouter(scheme=scheme, variant=variant, use_bridges=use_bridges)
         tables = SequenceTables.for_mesh(mesh, scheme)
         box_lo, box_len, n_inner = tables.batch_boxes(
-            src, dst, variant=variant, use_bridges=use_bridges
+            mesh.flat_to_coords(src),
+            mesh.flat_to_coords(dst),
+            variant=variant,
+            use_bridges=use_bridges,
         )
         for i in range(src.size):
             seq, _ = router.submesh_sequence(mesh, int(src[i]), int(dst[i]))

@@ -381,6 +381,28 @@ class TestSimulateWithFaults:
                 faults=fd, **ladder,
             )
 
+    @pytest.mark.parametrize(
+        "max_retries, backoff_cap, name",
+        [(-1, 5, "max_retries"), (3, -1, "backoff_cap"), (3, 63, "backoff_cap")],
+    )
+    def test_online_ladder_checked_before_path_selection(
+        self, monkeypatch, max_retries, backoff_cap, name
+    ):
+        # a bad ladder input must not cost a whole selection phase first
+        import repro.parallel.worker as worker
+
+        def reached(*args, **kwargs):
+            raise AssertionError("path selection ran before the ladder check")
+
+        monkeypatch.setattr(worker, "select_online_paths", reached)
+        mesh = Mesh((8, 8))
+        with pytest.raises(ValueError, match=name):
+            simulate_online(
+                HierarchicalRouter(), mesh, rate=0.05, steps=5, seed=1,
+                faults=FaultModel.dynamic(mesh, p=0.1, seed=1),
+                max_retries=max_retries, backoff_cap=backoff_cap,
+            )
+
     def test_fault_ladder_range_ends_accepted(self):
         mesh = Mesh((8, 8))
         res = HierarchicalRouter().route(transpose(mesh), seed=0)

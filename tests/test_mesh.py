@@ -397,7 +397,7 @@ class TestEdgeIdBatches:
         gap_row, table = m._edge_id_tables
         assert table.dtype == np.int32
         assert table.size == (2 * m.d + 1) * m.n
-        assert gap_row.size == m.n
+        assert gap_row.size == 2 * m.n - 1  # one entry per signed gap h - t
         assert not table.flags.writeable and not gap_row.flags.writeable
         assert m._edge_id_tables is m._edge_id_tables
 

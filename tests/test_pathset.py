@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.path_selection import HierarchicalRouter
 from repro.core.pathset import PathSet
+from repro.mesh.graph import named_graph
 from repro.mesh.mesh import Mesh
 from repro.mesh.paths import path_edge_endpoints, path_length
 from repro.metrics.congestion import (
@@ -21,6 +22,7 @@ from repro.metrics.congestion import (
 from repro.metrics.stretch import dilation, stretch, stretches
 from repro.routing.baselines import ValiantRouter
 from repro.workloads.generators import random_pairs
+from tests.conftest import meshes
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +503,83 @@ def _produce_shared_pathset(queue) -> None:
         [np.asarray([0, 1, 2, 3]), np.asarray([7]), np.asarray([4, 5])]
     )
     queue.put(ps.to_shared())
+
+
+# ---------------------------------------------------------------------------
+# ``PathSet.edge_ids`` reads one id lookup over the whole node stream and
+# drops the path-boundary pairs: its ids must equal the strict lookup over
+# the edge streams, a pair across a boundary must never raise, and a fault
+# inside a path must.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def walk_sets(draw):
+    """A mesh (tori included) and random valid walks mixed with empty and
+    one-node paths; each walk starts, where it can, at a node that is no
+    link away from where the previous path ended."""
+    mesh = draw(meshes(max_d=3, max_side=5, torus=None))
+    paths, end = [], None
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.integers(0, 6))
+        if size == 0:
+            paths.append([])
+            continue
+        far = [
+            v
+            for v in range(mesh.n)
+            if end is None or (v != end and v not in mesh.neighbors(end))
+        ]
+        walk = [draw(st.sampled_from(far or list(range(mesh.n))))]
+        for _ in range(size - 1):
+            steps = mesh.neighbors(walk[-1])
+            if not steps:
+                break
+            walk.append(draw(st.sampled_from(steps)))
+        paths.append(walk)
+        end = walk[-1]
+    return mesh, paths
+
+
+class TestStreamEdgeIds:
+    @given(walk_sets())
+    def test_ids_equal_the_strict_lookup_on_edge_streams(self, case):
+        mesh, paths = case
+        ps = PathSet.from_paths([np.asarray(p, dtype=np.int64) for p in paths])
+        ids = ps.edge_ids(mesh)  # first: before the streams are built
+        assert ids.dtype == np.int64 and not ids.flags.writeable
+        want = mesh.edge_ids(ps.edge_tails, ps.edge_heads)
+        assert ids.tolist() == want.tolist()
+        assert ps.edge_ids(mesh) is ids
+
+    @given(walk_sets(), st.data())
+    def test_in_path_faults_raise(self, case, data):
+        mesh, paths = case
+        long = [i for i, p in enumerate(paths) if len(p) >= 2]
+        if not long:
+            return
+        i = data.draw(st.sampled_from(long))
+        at = data.draw(st.integers(1, len(paths[i]) - 1))
+        bad = [list(p) for p in paths]
+        # a repeated node is never a link; -1 and n are out of range
+        bad[i][at] = data.draw(st.sampled_from([bad[i][at - 1], -1, mesh.n]))
+        ps = PathSet.from_paths([np.asarray(p, dtype=np.int64) for p in bad])
+        with pytest.raises(ValueError):
+            ps.edge_ids(mesh)
+
+    def test_out_of_range_node_outside_every_edge_is_no_error(self):
+        # a one-node path holds no edge, so its node is never looked up
+        mesh = Mesh((4, 4))
+        ps = PathSet.from_paths([np.asarray([0, 1]), np.asarray([99]), np.asarray([5, 6])])
+        assert ps.edge_ids(mesh).tolist() == mesh.edge_ids([0, 5], [1, 6]).tolist()
+
+    def test_general_graph(self):
+        g = named_graph("dumbbell-16")
+        ep = g.edge_endpoints
+        # two edges of different cliques: the boundary pair is a non-link
+        paths = [ep[0], np.asarray([7]), ep[-1][::-1], np.asarray([], dtype=np.int64)]
+        ps = PathSet.from_paths(paths)
+        want = g.edge_ids(np.asarray([ep[0][0], ep[-1][1]]), np.asarray([ep[0][1], ep[-1][0]]))
+        assert ps.edge_ids(g).tolist() == want.tolist() == [0, g.num_edges - 1]
+        with pytest.raises(ValueError, match="not mesh neighbors"):
+            PathSet.from_paths([np.asarray([0, 15])]).edge_ids(g)
